@@ -49,7 +49,6 @@ from .linear import (
     linear_norm_series,
     multipliers,
     propagate,
-    propagator_symbols,
 )
 from .semilinear import (
     EvolveConfig,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -84,14 +84,6 @@ class GridSpec:
             return k ** 2
         return k[:, None] ** 2 + k[None, :] ** 2
 
-    def nyquist_mask(self):
-        """True where no axis sits on the unpaired Nyquist mode."""
-        keep = np.ones(self.points, dtype=bool)
-        keep[self.points // 2] = False
-        if self.dimension == 1:
-            return keep
-        return keep[:, None] & keep[None, :]
-
 
 @dataclass
 class GridField:
@@ -129,6 +121,8 @@ class WaveState:
     time: float
     u: GridField
     v: GridField
+    # (nonlinearity, u array, h(u)) left by the split-step integrator for reuse
+    forcing: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.u.spec != self.v.spec:

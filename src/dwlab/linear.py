@@ -6,14 +6,22 @@ data-to-solution multipliers
 
     u_hat(t) = K0(|xi|, t) phi_hat + K1(|xi|, t) psi_hat
 
-are evaluated in cancellation-free forms: exp(-t/2) cosh/sinh below the
-resonance |xi| = 1/2, exp(-t/2) cos/sin above, and a power series in
-sigma t^2 (sigma = 1/4 - |xi|^2) close to it.  The time derivatives
-follow from the exact identities dK0 = -|xi|^2 K1 and dK1 = K0 - K1.
+are evaluated in cancellation-free forms: the two real exponentials
+exp(-(1/2 -+ b) t), b = sqrt(1/4 - |xi|^2), below the resonance
+|xi| = 1/2 (the exp(-t/2) envelope folded into the exponents, so no
+term overflows at any horizon), exp(-t/2) cos/sin above, and a power
+series in sigma t^2 (sigma = 1/4 - |xi|^2) close to it.  The time
+derivatives follow from the exact identities dK0 = -|xi|^2 K1 and
+dK1 = K0 - K1.
+
+Fields are real, so the flow runs on the rfft half-spectrum: a
+`Propagator` per grid holds |xi|^2 in that layout, the real transform
+pair and the multipliers of the last two step sizes.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -22,9 +30,8 @@ import numpy as np
 from .grid import GridField, WaveState, hdot_norm, lp_norm
 
 __all__ = [
-    "RESONANT_HALF_WIDTH",
-    "PropagatorSymbols",
-    "propagator_symbols",
+    "Propagator",
+    "propagator",
     "multipliers",
     "propagate",
     "linear_norm_series",
@@ -32,31 +39,6 @@ __all__ = [
     "DecayFit",
     "decay_fit",
 ]
-
-RESONANT_HALF_WIDTH = 1e-4
-
-_LOW, _RESONANT, _HIGH = "LowFreq", "Resonant", "HighFreq"
-
-
-@dataclass
-class PropagatorSymbols:
-    """Characteristic roots and regime tags per grid frequency."""
-
-    xi_sq: np.ndarray
-    lam_plus: np.ndarray
-    lam_minus: np.ndarray
-    regime: np.ndarray  # of strings {LowFreq, Resonant, HighFreq}
-
-
-def propagator_symbols(spec):
-    xi_sq = spec.wavenumber_sq()
-    root = np.sqrt(np.asarray(0.25 - xi_sq, dtype=complex))
-    lam_plus = -0.5 + root
-    lam_minus = -0.5 - root
-    xi = np.sqrt(xi_sq)
-    regime = np.where(np.abs(xi - 0.5) < RESONANT_HALF_WIDTH, _RESONANT,
-                      np.where(xi < 0.5, _LOW, _HIGH))
-    return PropagatorSymbols(xi_sq, lam_plus, lam_minus, regime)
 
 
 def _phi_series(z):
@@ -85,6 +67,7 @@ def multipliers(xi_sq, t):
 
     K0 = np.empty_like(sigma)
     K1 = np.empty_like(sigma)
+    dK1 = np.empty_like(sigma)
     z = sigma * t * t
     near = np.abs(z) < 0.25
     low = (sigma > 0) & ~near
@@ -92,22 +75,86 @@ def multipliers(xi_sq, t):
 
     if near.any():
         phi0, phi1 = _phi_series(z[near])
-        K1[near] = t * phi1
-        K0[near] = phi0 + 0.5 * t * phi1
+        K1[near] = t * phi1 * envelope
+        K0[near] = (phi0 + 0.5 * t * phi1) * envelope
+        dK1[near] = K0[near] - K1[near]
     if low.any():
+        # e^{-t/2} cosh(bt) = (slow + fast)/2 and e^{-t/2} sinh(bt) = (slow - fast)/2,
+        # with b - 1/2 = -xi^2/(b + 1/2) kept free of cancellation
         b = np.sqrt(sigma[low])
-        sh, ch = np.sinh(b * t), np.cosh(b * t)
-        K1[low] = sh / b
-        K0[low] = ch + 0.5 * sh / b
+        lag = xi_sq[low] / (b + 0.5)
+        slow = np.exp(-lag * t)
+        fast = np.exp(-(b + 0.5) * t)
+        K1[low] = (slow - fast) / (2.0 * b)
+        K0[low] = 0.5 * (slow + fast) + 0.25 * (slow - fast) / b
+        # K0 - K1 = slow (1/2 - 1/(4b)) + fast (1/2 + 1/(4b)), and 1/2 - 1/(4b) = -lag/(2b)
+        dK1[low] = (fast * (b + 0.5) - slow * lag) / (2.0 * b)
     if high.any():
         b = np.sqrt(-sigma[high])
         sn, cs = np.sin(b * t), np.cos(b * t)
-        K1[high] = sn / b
-        K0[high] = cs + 0.5 * sn / b
+        K1[high] = sn / b * envelope
+        K0[high] = (cs + 0.5 * sn / b) * envelope
+        dK1[high] = K0[high] - K1[high]
 
-    K0 *= envelope
-    K1 *= envelope
-    return K0, K1, -xi_sq * K1, K0 - K1
+    return K0, K1, -xi_sq * K1, dK1
+
+
+class Propagator:
+    """The exact linear flow on one grid, in the rfft half-spectrum.
+
+    Holds |xi|^2 in rfftn layout, the real transform pair and the
+    multipliers of the last two step sizes used (a split-step run
+    alternates between its step and the odd step clipped to a sample
+    time).  Cached multipliers are read-only.  Get one per grid from
+    `propagator(spec)`.
+    """
+
+    CACHED_STEPS = 2
+
+    def __init__(self, spec):
+        self.spec = spec
+        self.axes = tuple(range(spec.dimension))
+        k_half = 2.0 * np.pi * np.fft.rfftfreq(spec.points, d=spec.dx)
+        if spec.dimension == 1:
+            self.xi_sq = k_half ** 2
+        else:
+            k = spec.wavenumbers()
+            self.xi_sq = k[:, None] ** 2 + k_half[None, :] ** 2
+        self._cache = {}  # dt -> (K0, K1, dK0, dK1), least recently used first
+
+    def forward(self, values):
+        return np.fft.rfftn(values, axes=self.axes)
+
+    def inverse(self, coeffs):
+        return np.fft.irfftn(coeffs, s=self.spec.shape, axes=self.axes)
+
+    def multipliers(self, dt):
+        """(K0, K1, dK0, dK1) over dt on the half-spectrum, built once per dt."""
+        found = self._cache.pop(dt, None)
+        if found is None:
+            found = multipliers(self.xi_sq, dt)
+            for array in found:
+                array.flags.writeable = False
+            if len(self._cache) >= self.CACHED_STEPS:
+                del self._cache[next(iter(self._cache))]
+        self._cache[dt] = found
+        return found
+
+    def flow(self, u, v, dt):
+        """Arrays (u, v) carried exactly over dt by the linear flow."""
+        K0, K1, dK0, dK1 = self.multipliers(dt)
+        u_hat, v_hat = self.forward(u), self.forward(v)
+        return self.inverse(K0 * u_hat + K1 * v_hat), self.inverse(dK0 * u_hat + dK1 * v_hat)
+
+
+@functools.lru_cache(maxsize=4)
+def propagator(spec):
+    """The shared `Propagator` of a grid.
+
+    Sharing is safe because everything it caches is a function of the
+    grid and dt alone; four grids cover a run plus its cross-checks.
+    """
+    return Propagator(spec)
 
 
 def propagate(state, dt):
@@ -119,13 +166,11 @@ def propagate(state, dt):
     if dt == 0.0:
         return state.copy()
     spec = state.spec
-    xi_sq = spec.wavenumber_sq()
-    K0, K1, dK0, dK1 = multipliers(xi_sq, dt)
-    u_hat = np.fft.fftn(state.u.values)
-    v_hat = np.fft.fftn(state.v.values)
-    u_new = np.fft.ifftn(K0 * u_hat + K1 * v_hat).real
-    v_new = np.fft.ifftn(dK0 * u_hat + dK1 * v_hat).real
-    return WaveState(state.time + dt, GridField(spec, u_new), GridField(spec, v_new))
+    u_new, v_new = propagator(spec).flow(state.u.values, state.v.values, dt)
+    out = WaveState(state.time + dt, GridField(spec, u_new), GridField(spec, v_new))
+    if not (out.u.is_finite() and out.v.is_finite()):
+        raise ValueError(f"linear flow over dt={dt} produced a non-finite state")
+    return out
 
 
 def energy(state):

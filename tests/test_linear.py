@@ -12,7 +12,7 @@ from dwlab.linear import (
     linear_norm_series,
     multipliers,
     propagate,
-    propagator_symbols,
+    propagator,
 )
 
 
@@ -25,27 +25,6 @@ def _psi_state(spec, width=2.0, derivative=False):
         return g
 
     return WaveState(0.0, GridField.zeros(spec), GridField.from_function(spec, bump))
-
-
-# -- symbols ----------------------------------------------------------
-
-
-def test_symbols_vieta_and_dissipativity():
-    for n, N in ((1, 256), (2, 32)):
-        spec = GridSpec(n, 7.0, N)
-        sym = propagator_symbols(spec)
-        assert np.max(np.abs(sym.lam_plus + sym.lam_minus + 1.0)) < 1e-12
-        assert np.max(np.abs(sym.lam_plus * sym.lam_minus - sym.xi_sq)) < 1e-12
-        assert np.max(sym.lam_plus.real) <= 1e-15
-        assert np.max(sym.lam_minus.real) <= 1e-15
-
-
-def test_symbols_regime_tags():
-    spec = GridSpec(1, 64.0, 512)
-    sym = propagator_symbols(spec)
-    xi = np.sqrt(sym.xi_sq)
-    assert np.all(sym.regime[xi < 0.49] == "LowFreq")
-    assert np.all(sym.regime[xi > 0.51] == "HighFreq")
 
 
 # -- multipliers ------------------------------------------------------
@@ -114,12 +93,74 @@ def test_multiplier_derivative_identities():
     assert np.allclose((K1p - K1m) / (2 * h), dK1, atol=1e-8)
 
 
+def test_multiplier_long_horizon_finite_and_exact():
+    # cosh(bt) alone overflows past t ~ 1420; the envelope is folded into the exponents
+    t = 1e4
+    xi_sq = np.concatenate([[0.0], np.geomspace(1e-6, 0.2, 50),  # low branch
+                            [0.25, 0.25 + 1e-10],               # resonant series
+                            np.geomspace(0.3, 1e3, 50)])        # high branch
+    sigma_t_sq = (0.25 - xi_sq) * t * t
+    assert np.any(np.abs(sigma_t_sq) < 0.25)
+    assert np.any(sigma_t_sq > 0.25) and np.any(sigma_t_sq < -0.25)
+    K0, K1, dK0, dK1 = multipliers(xi_sq, t)
+    for array in (K0, K1, dK0, dK1):
+        assert np.all(np.isfinite(array))
+    assert K0[0] == 1.0
+    assert K1[0] == 1.0 - math.exp(-t)
+    assert dK1[0] == math.exp(-t)
+
+
+def test_multiplier_zero_mode_derivative_without_cancellation():
+    # dK1 = e^{-t} at xi = 0; K0 - K1 = 1 - (1 - e^{-t}) would keep only ~3 digits at t = 30
+    for t in (5.0, 30.0, 200.0):
+        *_, dK1 = multipliers(np.array([0.0]), t)
+        assert dK1[0] == pytest.approx(math.exp(-t), rel=1e-14, abs=0.0)
+
+
 def test_multiplier_rejects_negative_time():
     with pytest.raises(ValueError):
         multipliers(np.array([1.0]), -0.1)
 
 
 # -- propagation ------------------------------------------------------
+
+
+def _full_fft_propagate(state, dt):
+    """The exact flow on the full complex spectrum, as a reference."""
+    K0, K1, dK0, dK1 = multipliers(state.spec.wavenumber_sq(), dt)
+    u_hat, v_hat = np.fft.fftn(state.u.values), np.fft.fftn(state.v.values)
+    return (np.fft.ifftn(K0 * u_hat + K1 * v_hat).real,
+            np.fft.ifftn(dK0 * u_hat + dK1 * v_hat).real)
+
+
+def test_propagate_half_spectrum_matches_full_fft():
+    for spec in (GridSpec(1, 32.0, 512), GridSpec(2, 16.0, 64)):
+        state = _psi_state(spec)
+        state = WaveState(0.0, GridField(spec, np.cos(spec.meshgrid()[0]) * state.v.values),
+                          state.v)
+        cache = propagator(spec)._cache
+        # alternating step sizes, with a third one now and then, evict cached multipliers
+        for dt in (0.05, 0.013, 0.05, 0.013, 0.7, 0.05, 0.7, 0.013, 0.05):
+            u_ref, v_ref = _full_fft_propagate(state, dt)
+            out = propagate(state, dt)
+            assert len(cache) <= 2
+            assert dt in cache
+            assert np.max(np.abs(out.u.values - u_ref)) <= 1e-13 * np.max(np.abs(u_ref))
+            assert np.max(np.abs(out.v.values - v_ref)) <= 1e-13 * np.max(np.abs(v_ref))
+            state = out
+
+
+def test_propagate_rejects_non_finite_state():
+    spec = GridSpec(1, 16.0, 256)
+    state = _psi_state(spec)
+    state.v.values[3] = np.nan
+    with pytest.raises(ValueError, match="non-finite state"):
+        propagate(state, 0.1)
+    # finite data whose transform overflows: the output check catches it
+    huge = GridField(spec, np.full(spec.shape, 1e308))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="produced a non-finite state"):
+        propagate(WaveState(0.0, huge, huge), 0.1)
 
 
 def test_propagate_identity_at_zero_dt():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from dwlab import semilinear
 from dwlab.grid import GridError, GridField, GridSpec, WaveState
 from dwlab.linear import propagate
 from dwlab.modulus import Nonlinearity, PowerForcing, catalog_make
@@ -26,6 +27,18 @@ from dwlab.semilinear import (
 class ZeroForcing:
     def h_eval(self, s):
         return np.zeros_like(s)
+
+
+class CountingForcing:
+    """Counts the h evaluations of a wrapped nonlinearity."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def h_eval(self, s):
+        self.calls += 1
+        return self.inner.h_eval(s)
 
 
 def _spec():
@@ -79,6 +92,75 @@ def test_step_order_two_convergence():
         errors.append(abs(traj.u_samples[-1].flat[0] - ref))
     for coarse, fine in zip(errors, errors[1:]):
         assert 3.5 < coarse / fine < 4.5
+
+
+def test_evolve_evaluates_forcing_once_per_step():
+    spec = _spec()
+    forcing = CountingForcing(Nonlinearity(catalog_make("invlog", p=2.0), 1))
+    data = make_data(spec, amplitude=0.5, width=2.0)
+    dt, steps = 0.125, 40  # a binary dt: every time sum is exact and no step is clipped
+    cfg = EvolveConfig(grid=spec, nonlinearity=forcing, data=data, dt=dt,
+                       t_max=steps * dt, sample_stride=8)
+    traj = evolve(cfg)
+    assert traj.outcome == Outcome.COMPLETED
+    assert forcing.calls == steps + 1
+
+    state = data
+    for _ in range(steps):
+        state = step(state, dt, forcing)
+    assert traj.times[-1] == state.time
+    assert np.max(np.abs(traj.u_samples[-1] - state.u.values)) <= 1e-14 * np.max(np.abs(state.u.values))
+    assert np.max(np.abs(traj.v_samples[-1] - state.v.values)) <= 1e-14 * np.max(np.abs(state.v.values))
+
+
+def test_forcing_reuse_keeps_blowup_with_halved_steps(monkeypatch):
+    spec = _spec()
+    data = make_data(spec, amplitude=20.0, width=2.0)
+    plain_step = semilinear.step
+
+    def run(step_fn):
+        attempts = []
+
+        def traced(state, dt, nonlinearity):
+            attempts.append(state)
+            return step_fn(state, dt, nonlinearity)
+
+        monkeypatch.setattr(semilinear, "step", traced)
+        forcing = CountingForcing(PowerForcing(1.5))
+        cfg = EvolveConfig(grid=spec, nonlinearity=forcing, data=data, dt=0.1,
+                           t_max=50.0, keep_fields=False)
+        traj = evolve(cfg)
+        rejected = sum(a is b for a, b in zip(attempts, attempts[1:]))
+        return traj, forcing.calls, len(attempts), rejected
+
+    reused, calls, attempts, rejected = run(plain_step)
+    # a copy drops the h(u) the previous step left on the state
+    fresh, fresh_calls, fresh_attempts, _ = run(lambda s, dt, nl: plain_step(s.copy(), dt, nl))
+    assert rejected >= 2
+    assert reused.outcome == fresh.outcome == Outcome.BLEW_UP
+    assert reused.t_est == fresh.t_est
+    assert attempts == fresh_attempts
+    assert calls == attempts + 1
+    assert fresh_calls == 2 * attempts
+
+
+def test_step_reuses_forcing_only_for_its_own_u():
+    spec = _spec()
+    forcing = CountingForcing(PowerForcing(1.5))
+    out = step(make_data(spec, amplitude=0.5, width=2.0), 0.1, forcing)
+    assert forcing.calls == 2
+    # the state carries h(u) for the next step, so u cannot change under it
+    with pytest.raises(ValueError):
+        out.u.values[0] = 1.0
+    # a replaced u gets h evaluated afresh
+    out.u = GridField(spec, 2.0 * out.u.values)
+    again = step(out, 0.1, forcing)
+    assert forcing.calls == 4
+    assert np.array_equal(again.v.values, step(out.copy(), 0.1, forcing).v.values)
+    # and so does another nonlinearity
+    other = CountingForcing(PowerForcing(1.5))
+    step(again, 0.1, other)
+    assert other.calls == 2
 
 
 # -- evolve -----------------------------------------------------------
@@ -162,6 +244,19 @@ def test_picard_small_data_contraction_and_mismatch():
     report = picard_verify(cfg, window_T=1.0, iterations=4)
     assert report["contraction_factor"] < 0.1
     assert report["mismatch_linf"] < 1e-4
+
+
+def test_picard_fixed_point_is_the_split_solution():
+    # On the step grid the trapezoid Duhamel sum is kick-drift-kick unrolled, so the
+    # converged Picard iterate equals the split-step solution up to round-off.  Data in
+    # phi make h(u(0)) nonzero, so a rectangle rule or a shifted lag shows up here.
+    spec = GridSpec(1, 32.0, 256)
+    nl = Nonlinearity(catalog_make("power", p=1.0), 1)
+    data = make_data(spec, amplitude=3.0, width=2.0, component="phi")
+    cfg = EvolveConfig(grid=spec, nonlinearity=nl, data=data, dt=0.02, t_max=1.0)
+    report = picard_verify(cfg, window_T=1.0, iterations=6)
+    assert report["first_correction"] > 0.1
+    assert report["mismatch_linf"] <= 1e-10
 
 
 def test_picard_correction_scales_superlinearly():
