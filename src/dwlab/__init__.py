@@ -6,8 +6,8 @@ modulus       moduli of continuity, the forcing term, and the integral test
               separating global existence from blow-up
 grid          periodic grids, spectral calculus, norms, field I/O
 linear        exact Fourier-multiplier flow of the damped wave operator
-semilinear    split-step time integration, fixed-point cross-checks,
-              lifespan sweeps
+semilinear    split-step time integration, blow-up detection,
+              fixed-point cross-checks
 testfunction  compactly supported weights and the averaged-inequality
               chain certifying blow-up
 cli           command-line front end
@@ -56,11 +56,9 @@ from .semilinear import (
     Trajectory,
     a_norm,
     evolve,
-    lifespan_sweep,
     make_data,
     picard_verify,
     step,
-    xnorm,
     xnorm_weight,
 )
 from .testfunction import (

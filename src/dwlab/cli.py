@@ -26,12 +26,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import GridError, GridSpec, field_to_csv, save_field
+from .grid import GridSpec
 from .linear import decay_fit, linear_norm_series
-from .modulus import (ModulusError, Nonlinearity, PowerForcing, Verdict,
-                      check_h_convexity, check_slow_variation, classify_dini,
+from .modulus import (Nonlinearity, Verdict, check_h_convexity,
+                      check_slow_variation, classify_dini, parse_forcing_spec,
                       parse_modulus_spec)
-from .semilinear import (EvolveConfig, Outcome, a_norm, evolve, make_data,
+from .semilinear import (EvolveConfig, Outcome, evolve, make_data,
                          check_torus_size)
 from .testfunction import (blowup_certificate, functional_ir, functional_y,
                            functional_y_exchanged, weight_bound_constant)
@@ -151,14 +151,6 @@ def _build_data(spec, cfg):
                      center=center, component="psi")
 
 
-def _make_forcing(text, dimension):
-    """Forcing from a spec string; 'oracle:q=Q' selects the pure power."""
-    if text.startswith("oracle:"):
-        params = dict(kv.split("=") for kv in text[len("oracle:"):].split(","))
-        return PowerForcing(float(params["q"]))
-    return Nonlinearity(parse_modulus_spec(text), dimension)
-
-
 def _enforce_torus(spec, cfg, t_max):
     center = _get(cfg, "center", float, 0.0)
     width = _get(cfg, "width", float, 1.0)
@@ -171,14 +163,8 @@ def _enforce_torus(spec, cfg, t_max):
 def cmd_classify(args, cfg):
     spec_text = cfg.get("modulus") or (args.rest[0] if args.rest else None)
     if not spec_text:
-        print("classify: need a modulus spec (positional or config key 'modulus')",
-              file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        modulus = parse_modulus_spec(spec_text)
-    except (ModulusError, ValueError) as exc:
-        print(f"classify: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("need a modulus spec (positional or config key 'modulus')")
+    modulus = parse_modulus_spec(spec_text)
     report = classify_dini(modulus)
     slow = check_slow_variation(modulus)
     n = _get(cfg, "dimension", int, 1)
@@ -209,12 +195,8 @@ def cmd_linear(args, cfg):
     t_start = time.perf_counter()
     spec = _build_grid(cfg)
     t_max = _get(cfg, "t_max", float, 2000.0)
-    try:
-        _enforce_torus(spec, cfg, t_max)
-        data = _build_data(spec, cfg)
-    except (GridError, ValueError) as exc:
-        print(f"linear: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    _enforce_torus(spec, cfg, t_max)
+    data = _build_data(spec, cfg)
     out = _run_dir(_out_root(args), "linear", cfg)
     times = np.geomspace(max(t_max * 0.01, 1.0), t_max, 45)
     series = linear_norm_series(data, times)
@@ -253,7 +235,7 @@ def _single_run(cfg):
     t_max = _get(cfg, "t_max", float, 100.0)
     _enforce_torus(spec, cfg, t_max)
     data = _build_data(spec, cfg)
-    forcing = _make_forcing(_get(cfg, "modulus", str, None), spec.dimension)
+    forcing = parse_forcing_spec(_get(cfg, "modulus", str, None), spec.dimension)
     run_cfg = EvolveConfig(
         grid=spec, nonlinearity=forcing, data=data,
         dt=_get(cfg, "dt", float, 0.05), t_max=t_max,
@@ -281,11 +263,7 @@ def _single_run(cfg):
 
 
 def cmd_run(args, cfg):
-    try:
-        result = _single_run(cfg)
-    except (GridError, ModulusError, ValueError) as exc:
-        print(f"run: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    result = _single_run(cfg)
     out = _run_dir(_out_root(args), "run", cfg)
     series = result.pop("series")
     _write_csv(out, "norms.csv", series)
@@ -309,11 +287,16 @@ def _sweep_worker(cfg):
 
 
 def cmd_sweep(args, cfg):
-    epsilons = _float_list(cfg.get("epsilons", "")) or [None]
     moduli = _str_list(cfg.get("moduli", "")) or ([cfg["modulus"]] if "modulus" in cfg else [])
-    if not moduli or epsilons == [None] and "epsilons" in cfg:
-        print("sweep: empty sweep list", file=sys.stderr)
-        return EXIT_USAGE
+    if not moduli:
+        raise ValueError("empty sweep list: set 'moduli' or 'modulus'")
+    epsilons = [None]
+    if "epsilons" in cfg:
+        epsilons = _float_list(cfg["epsilons"])
+        if not (epsilons and all(0 < e < math.inf for e in epsilons)
+                and all(a < b for a, b in zip(epsilons, epsilons[1:]))):
+            raise ValueError(f"epsilons must be positive, finite and strictly increasing, "
+                             f"got {cfg['epsilons']!r}")
     jobs = []
     for modulus in moduli:
         for eps in epsilons:
@@ -359,16 +342,10 @@ def cmd_certificate(args, cfg):
     r0 = _get(cfg, "r0", float, 16.0)
     shape = _get(cfg, "shape", str, "gaussian")
     if shape == "dgaussian":
-        print("certificate: zero-mean data rejected (positive-mean hypothesis)",
-              file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        _enforce_torus(spec, cfg, big_r)
-        data = _build_data(spec, cfg)
-        forcing = _make_forcing(_get(cfg, "modulus", str, None), spec.dimension)
-    except (GridError, ModulusError, ValueError) as exc:
-        print(f"certificate: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("zero-mean data rejected (positive-mean hypothesis)")
+    _enforce_torus(spec, cfg, big_r)
+    data = _build_data(spec, cfg)
+    forcing = parse_forcing_spec(_get(cfg, "modulus", str, None), spec.dimension)
     run_cfg = EvolveConfig(grid=spec, nonlinearity=forcing, data=data,
                            dt=_get(cfg, "dt", float, 0.05), t_max=big_r,
                            sample_stride=_get(cfg, "sample_stride", int, 5),
@@ -417,19 +394,14 @@ def main(argv=None):
     parser.add_argument("--config", help="key=value config file")
     parser.add_argument("--out", help="output root (default $DWLAB_OUT or ./dwlab_out)")
     parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
-    try:
-        cfg = parse_config(args.config) if args.config else {}
-    except (OSError, ValueError) as exc:
-        print(f"dwlab: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    cfg.setdefault("seed", str(args.seed))
     handler = {"classify": cmd_classify, "linear": cmd_linear, "run": cmd_run,
                "sweep": cmd_sweep, "certificate": cmd_certificate}[args.command]
+    # the one boundary for user errors: bad configs, specs, tables and files
     try:
+        cfg = parse_config(args.config) if args.config else {}
         return handler(args, cfg)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"dwlab {args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -121,8 +121,6 @@ class WaveState:
     time: float
     u: GridField
     v: GridField
-    # (nonlinearity, u array, h(u)) left by the split-step integrator for reuse
-    forcing: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.u.spec != self.v.spec:

@@ -41,6 +41,7 @@ __all__ = [
     "ConditionReport",
     "catalog_make",
     "parse_modulus_spec",
+    "parse_forcing_spec",
     "check_slow_variation",
     "classify_dini",
     "check_h_convexity",
@@ -322,7 +323,12 @@ def catalog_make(kind, p=None, depth=None):
 
 
 def load_custom_modulus(path):
-    """Load a two-column (s, mu) table; must start at mu(0)=0 and be monotone."""
+    """Load a whitespace-separated two-column (s, mu) table.
+
+    The table must start at (0, 0), be monotone, and be concave: its
+    secant slopes may not increase (up to relative round-off in the
+    tabulated values), as a modulus of continuity requires.
+    """
     data = np.loadtxt(path, dtype=float)
     if data.ndim != 2 or data.shape[1] != 2:
         raise ModulusError(f"custom modulus table must have two columns: {path}")
@@ -331,6 +337,9 @@ def load_custom_modulus(path):
         raise ModulusError("custom modulus table must start at (0, 0)")
     if np.any(np.diff(s) <= 0) or np.any(np.diff(mu) < 0):
         raise ModulusError("custom modulus table must be strictly increasing in s, non-decreasing in mu")
+    slopes = np.diff(mu) / np.diff(s)
+    if np.any(np.diff(slopes) > 1e-9 * np.max(slopes)):
+        raise ModulusError(f"custom modulus table is not concave (secant slopes increase): {path}")
     return Modulus(Kind.CUSTOM, {}, continuation_point=float(s[-1]),
                    table_s=s, table_mu=mu)
 
@@ -346,17 +355,39 @@ def parse_modulus_spec(text):
         if not rest:
             raise ModulusError("custom modulus needs a table file: custom:<path>")
         return load_custom_modulus(rest)
-    kwargs = {}
-    for item in filter(None, (piece.strip() for piece in rest.split(","))):
-        key, _, value = item.partition("=")
-        if key.strip() not in ("p", "depth") or not value:
-            raise ModulusError(f"bad modulus parameter {item!r} in {text!r}")
-        kwargs[key.strip()] = float(value)
+    kwargs = _spec_params(text, rest, "<kind>:p=<number>[,depth=<integer>]", ("p", "depth"))
     if "depth" in kwargs:
         if kwargs["depth"] != int(kwargs["depth"]):
             raise ModulusError(f"depth must be an integer in {text!r}")
         kwargs["depth"] = int(kwargs["depth"])
     return catalog_make(kind, **kwargs)
+
+
+def _spec_params(text, rest, form, allowed, required=()):
+    """The ``key=number`` pairs after the kind of a spec string, as floats."""
+    error = ModulusError(f"bad spec {text!r}: expected {form}")
+    params = {}
+    for item in filter(None, (piece.strip() for piece in rest.split(","))):
+        key, _, value = (part.strip() for part in item.partition("="))
+        if key not in allowed:
+            raise error
+        try:
+            params[key] = float(value)
+        except ValueError:
+            raise error from None
+    if not params.keys() >= set(required):
+        raise error
+    return params
+
+
+def parse_forcing_spec(text, dimension):
+    """Forcing from a spec string: ``oracle:q=Q`` is the pure power |s|^Q,
+    any modulus spec gives h(s) = |s|^{1+2/n} mu(|s|)."""
+    if text.startswith("oracle:"):
+        params = _spec_params(text, text[len("oracle:"):], "oracle:q=<number>",
+                              ("q",), required=("q",))
+        return PowerForcing(params["q"])
+    return Nonlinearity(parse_modulus_spec(text), dimension)
 
 
 def format_modulus_spec(modulus):
@@ -388,18 +419,6 @@ class Nonlinearity:
         a = np.abs(np.asarray(s, dtype=float))
         return a ** self.exponent * self.modulus.eval(a)
 
-    def h_deriv(self, s):
-        """d/ds h(s) for s > 0 (and 0 at s = 0)."""
-        a = np.abs(np.asarray(s, dtype=float))
-        scalar = a.ndim == 0
-        a = np.atleast_1d(a)
-        out = np.zeros_like(a)
-        pos = a > 0
-        q = self.exponent
-        ap = a[pos]
-        out[pos] = q * ap ** (q - 1.0) * self.modulus.eval(ap) + ap ** q * self.modulus.deriv(ap, 1)
-        return out[0] if scalar else out
-
 
 class PowerForcing:
     """Pure-power forcing h(s) = |s|^q, used as a blow-up engine oracle.
@@ -409,16 +428,12 @@ class PowerForcing:
     """
 
     def __init__(self, q):
-        if q <= 1.0:
+        if not q > 1.0:
             raise ModulusError(f"power forcing exponent must exceed 1, got {q}")
         self.exponent = float(q)
 
     def h_eval(self, s):
         return np.abs(np.asarray(s, dtype=float)) ** self.exponent
-
-    def h_deriv(self, s):
-        a = np.abs(np.asarray(s, dtype=float))
-        return self.exponent * a ** (self.exponent - 1.0)
 
 
 # -- condition checkers -----------------------------------------------

@@ -30,15 +30,11 @@ __all__ = [
     "BlowupSignal",
     "step",
     "evolve",
-    "xnorm",
     "xnorm_weight",
     "picard_verify",
-    "lifespan_sweep",
     "a_norm",
     "make_data",
 ]
-
-T_INFINITE = math.inf
 
 
 class BlowupSignal(RuntimeError):
@@ -70,6 +66,8 @@ class EvolveConfig:
     def __post_init__(self):
         if self.dt <= 0 or self.t_max <= 0:
             raise ValueError("dt and t_max must be positive")
+        if self.sample_stride < 1:
+            raise ValueError(f"sample_stride must be a positive integer, got {self.sample_stride}")
         if self.blowup_threshold <= 1:
             raise ValueError("blowup_threshold must exceed 1")
         if self.data.spec != self.grid:
@@ -97,30 +95,17 @@ class Trajectory:
     def xnorm(self):
         return float(self.xnorm_running[-1]) if len(self.xnorm_running) else 0.0
 
-    def state_at(self, index):
-        return WaveState(float(self.times[index]),
-                         GridField(self.spec, self.u_samples[index]),
-                         GridField(self.spec, self.v_samples[index]))
 
+def step(state, h_u, dt, nonlinearity):
+    """One Strang split step from `state`, whose forcing h(u) is `h_u`.
 
-def _forcing_at(state, nonlinearity):
-    """h(u) of the state, reused when the step that made the state left it."""
-    cached = state.forcing
-    if cached is not None and cached[0] is nonlinearity and cached[1] is state.u.values:
-        return cached[2]
-    return nonlinearity.h_eval(state.u.values)
-
-
-def step(state, dt, nonlinearity):
-    """One Strang split step; raises BlowupSignal on non-finite output.
-
-    The returned state carries h(u) of its (read-only) u, which the next
-    step with the same nonlinearity takes as its first kick (first same
-    as last), so a run evaluates h once per step.
+    Returns (new_state, h(new u)).  The caller passes the second back as
+    the next step's `h_u` (first same as last), so a run evaluates h once
+    per accepted step.  Raises BlowupSignal on non-finite output.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    half = 0.5 * dt * _forcing_at(state, nonlinearity)
+    half = 0.5 * dt * h_u
     kicked = WaveState(state.time, state.u, GridField(state.spec, state.v.values + half))
     drifted = propagate(kicked, dt)
     h_new = nonlinearity.h_eval(drifted.u.values)
@@ -128,9 +113,7 @@ def step(state, dt, nonlinearity):
     out = WaveState(drifted.time, drifted.u, GridField(state.spec, drifted.v.values + half))
     if not (out.u.is_finite() and out.v.is_finite()):
         raise BlowupSignal(state.time)
-    out.u.values.flags.writeable = False
-    out.forcing = (nonlinearity, out.u.values, h_new)
-    return out
+    return out, h_new
 
 
 def xnorm_weight(state, dimension):
@@ -162,6 +145,7 @@ def evolve(config):
     """
     n = config.grid.dimension
     state = config.data.copy()
+    h_u = config.nonlinearity.h_eval(state.u.values)
     dt = config.dt
     times = [state.time]
     norms = {key: [] for key in ("L1", "L2", "Linf", "H1dot")}
@@ -169,7 +153,7 @@ def evolve(config):
     u_samples = [state.u.values.copy()] if config.keep_fields else []
     v_samples = [state.v.values.copy()] if config.keep_fields else []
     next_sample = state.time + config.sample_dt
-    outcome, t_est = Outcome.COMPLETED, T_INFINITE
+    outcome, t_est = Outcome.COMPLETED, math.inf
 
     while state.time < config.t_max - 1e-12:
         dt_step = min(dt, config.t_max - state.time, next_sample - state.time)
@@ -177,7 +161,7 @@ def evolve(config):
             dt_step = min(dt, config.t_max - state.time)
         size_before = float(np.max(np.abs(state.u.values)) + np.max(np.abs(state.v.values)))
         try:
-            candidate = step(state, dt_step, config.nonlinearity)
+            candidate, h_candidate = step(state, h_u, dt_step, config.nonlinearity)
         except BlowupSignal:
             outcome, t_est = Outcome.BLEW_UP, state.time
             break
@@ -189,7 +173,7 @@ def evolve(config):
                 outcome, t_est = Outcome.STEP_COLLAPSE, state.time
                 break
             continue
-        state = candidate
+        state, h_u = candidate, h_candidate
         if sup_after > config.blowup_threshold:
             outcome, t_est = Outcome.BLEW_UP, state.time
             break
@@ -212,13 +196,6 @@ def evolve(config):
         u_samples=u_samples,
         v_samples=v_samples,
     )
-
-
-def xnorm(trajectory):
-    """Running supremum of the weighted norm over the sampled trajectory."""
-    if len(trajectory.xnorm_running) == 0:
-        raise ValueError("trajectory has no samples")
-    return trajectory.xnorm
 
 
 # -- Picard / Duhamel cross-validation --------------------------------
@@ -301,37 +278,6 @@ def picard_verify(config, window_T=1.0, iterations=4):
         "mismatch_linf": mismatch,
         "first_correction": increments[0],
     }
-
-
-def lifespan_sweep(config_template, epsilons):
-    """Run the same setup across amplitudes; returns [(eps, T_est, outcome)].
-
-    The template's data is rescaled linearly per amplitude; detected
-    lifespans must be non-increasing in the amplitude (checked by the
-    caller up to one sample stride of jitter).
-    """
-    epsilons = list(epsilons)
-    if not epsilons or any(e <= 0 for e in epsilons) or any(np.diff(epsilons) <= 0):
-        raise ValueError("epsilons must be positive and increasing")
-    base = config_template.data
-    base_eps = a_norm(base)
-    rows = []
-    for eps in epsilons:
-        scale = eps / base_eps
-        data = WaveState(base.time,
-                         GridField(base.spec, base.u.values * scale),
-                         GridField(base.spec, base.v.values * scale))
-        cfg = EvolveConfig(grid=config_template.grid,
-                           nonlinearity=config_template.nonlinearity,
-                           data=data, dt=config_template.dt,
-                           t_max=config_template.t_max,
-                           blowup_threshold=config_template.blowup_threshold,
-                           dt_min=config_template.dt_min,
-                           sample_stride=config_template.sample_stride,
-                           keep_fields=False)
-        traj = evolve(cfg)
-        rows.append((eps, traj.t_est, traj.outcome))
-    return rows
 
 
 # -- data construction ------------------------------------------------

@@ -42,9 +42,32 @@ def test_config_hash_deterministic_and_order_free():
     assert config_hash(a) != config_hash({"L": "64", "N": "1024"})
 
 
+def _assert_one_line_usage_error(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"dwlab {argv[0]}: ")
+    assert "Traceback" not in captured.err + captured.out
+
+
 def test_missing_config_file_is_usage_error(capsys):
-    assert main(["classify", "--config", "/nonexistent/file.cfg"]) == 1
-    assert "dwlab" in capsys.readouterr().err
+    _assert_one_line_usage_error(capsys, ["classify", "--config", "/nonexistent/file.cfg"])
+
+
+@pytest.mark.parametrize("command", ["classify", "run", "certificate"])
+@pytest.mark.parametrize("spec", ["custom:{tmp}/missing.txt", "custom:{tmp}/convex.txt",
+                                  "oracle:p=2"])
+def test_user_errors_are_one_line(tmp_path, capsys, command, spec):
+    (tmp_path / "convex.txt").write_text("0 0\n0.5 0.1\n1 1\n")
+    spec = spec.format(tmp=tmp_path)
+    if command == "classify":
+        argv = ["classify", spec]
+    else:
+        cfg = _write_config(tmp_path, f"{command}.cfg",
+                            dimension=1, L=64.0, N=512, t_max=5.0, R=16.0,
+                            dt=0.05, width=2.0, modulus=spec)
+        argv = [command, "--config", cfg, "--out", str(tmp_path / "out")]
+    _assert_one_line_usage_error(capsys, argv)
 
 
 # -- classify ---------------------------------------------------------
@@ -125,6 +148,15 @@ def test_run_rejects_bad_modulus(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("stride", [0, -3])
+def test_run_rejects_nonpositive_sample_stride(tmp_path, capsys, stride):
+    cfg = _write_config(tmp_path, "run.cfg",
+                        dimension=1, L=64.0, N=512, t_max=5.0, dt=0.05,
+                        width=2.0, modulus="invlog:p=2", sample_stride=stride)
+    _assert_one_line_usage_error(capsys, ["run", "--config", cfg,
+                                          "--out", str(tmp_path / "out")])
+
+
 def test_run_honours_dwlab_out_env(tmp_path, capsys, monkeypatch):
     cfg = _write_config(tmp_path, "run.cfg",
                         dimension=1, L=64.0, N=512, t_max=2.0,
@@ -197,6 +229,38 @@ def test_sweep_empty_list_is_usage_error(tmp_path, capsys):
                         dimension=1, L=64.0, N=512, t_max=5.0)
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("epsilons", ["", "2 1", "-1 1", "0 1"],
+                         ids=["empty", "decreasing", "negative", "zero"])
+def test_sweep_rejects_bad_epsilons(tmp_path, capsys, epsilons):
+    cfg = _write_config(tmp_path, "sweep.cfg",
+                        dimension=1, L=64.0, N=512, t_max=5.0,
+                        modulus="oracle:q=1.5", epsilons=epsilons)
+    _assert_one_line_usage_error(capsys, ["sweep", "--config", cfg,
+                                          "--out", str(tmp_path / "o")])
+
+
+def test_sweep_lifespan_monotone_in_amplitude(tmp_path, capsys):
+    dt, stride = 0.01, 50
+    cfg = _write_config(tmp_path, "sweep.cfg",
+                        dimension=1, L=64.0, N=512, width=2.0, dt=dt,
+                        t_max=50.0, sample_stride=stride,
+                        modulus="oracle:q=1.5", epsilons="5 10 20")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    (sweep_dir,) = list(out.iterdir())
+    rows = []
+    for manifest in sweep_dir.glob("*/manifest.txt"):
+        entries = dict(line.split(" = ", 1) for line in manifest.read_text().splitlines())
+        rows.append((float(entries["amplitude"]), float(entries["t_est"]), entries["outcome"]))
+    rows.sort()
+    assert [eps for eps, _, _ in rows] == [5.0, 10.0, 20.0]
+    assert all(outcome == "BlewUpAt" for _, _, outcome in rows)
+    t_ests = [t for _, t, _ in rows]
+    for bigger_eps_t, smaller_eps_t in zip(t_ests[1:], t_ests):
+        assert bigger_eps_t <= smaller_eps_t + dt * stride
 
 
 # -- certificate ------------------------------------------------------

@@ -22,6 +22,7 @@ from dwlab.modulus import (
     classify_dini,
     format_modulus_spec,
     load_custom_modulus,
+    parse_forcing_spec,
     parse_modulus_spec,
 )
 
@@ -274,6 +275,31 @@ def test_custom_table_modulus(tmp_path):
     assert mu(0.25) == pytest.approx(0.5, rel=1e-3)
     mid = mu.deriv_fd(0.25, 1)
     assert mid == pytest.approx(1.0, rel=1e-2)
+
+
+def test_custom_table_must_be_concave(tmp_path):
+    concave = tmp_path / "concave.txt"
+    concave.write_text("0 0\n0.25 0.5\n0.5 0.7\n1.0 0.9\n")
+    assert load_custom_modulus(concave)(0.5) == pytest.approx(0.7)
+    # secant slopes 0.2 then 1.8: monotone but convex
+    convex = tmp_path / "convex.txt"
+    convex.write_text("0 0\n0.5 0.1\n1.0 1.0\n")
+    with pytest.raises(ModulusError, match="concave"):
+        load_custom_modulus(convex)
+
+
+def test_forcing_spec_oracle_and_modulus():
+    oracle = parse_forcing_spec("oracle:q=1.5", 1)
+    assert isinstance(oracle, PowerForcing) and oracle.exponent == 1.5
+    forcing = parse_forcing_spec("invlog:p=2", 2)
+    assert isinstance(forcing, Nonlinearity) and forcing.dimension == 2
+
+
+@pytest.mark.parametrize("text", ["oracle:p=2", "oracle:", "oracle:q=", "oracle:q=abc",
+                                  "oracle:q=1.5,p=2"])
+def test_forcing_spec_rejects_malformed_oracle(text):
+    with pytest.raises(ModulusError, match="oracle:q=<number>"):
+        parse_forcing_spec(text, 1)
 
 
 def test_custom_table_rejects_nonmonotone(tmp_path):
