@@ -4,11 +4,16 @@ The torus [-L, L)^n stands in for R^n; runs choose L large enough that
 nothing reaches the boundary within the simulated horizon (the damped
 wave equation has unit propagation speed).  Norms are Riemann sums with
 cell weight dx^n, which is spectrally accurate for smooth periodic data.
+
+Fields are real, so every spectral computation runs on the rfftn
+half-spectrum of its grid (`half_spectrum(spec)`): the spectral norms,
+the gradient and, in `dwlab.linear`, the exact linear flow.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,6 +25,8 @@ __all__ = [
     "GridField",
     "WaveState",
     "GridError",
+    "HalfSpectrum",
+    "half_spectrum",
     "lp_norm",
     "spectral_gradient",
     "sobolev_norm",
@@ -46,8 +53,8 @@ class GridSpec:
     def __post_init__(self):
         if self.dimension not in (1, 2):
             raise GridError(f"dimension must be 1 or 2, got {self.dimension}")
-        if self.half_length <= 0:
-            raise GridError("half_length must be positive")
+        if not 0 < self.half_length < math.inf:
+            raise GridError(f"half_length must be positive and finite, got {self.half_length}")
         n = self.points
         if n < 16 or n & (n - 1):
             raise GridError(f"points must be a power of two >= 16, got {n}")
@@ -73,16 +80,17 @@ class GridSpec:
         x = self.axis()
         return np.meshgrid(x, x, indexing="ij")
 
-    def wavenumbers(self):
-        """Radian wavenumbers along one axis, FFT ordering."""
-        return 2.0 * np.pi * np.fft.fftfreq(self.points, d=self.dx)
-
     def wavenumber_sq(self):
         """|xi|^2 on the full FFT grid."""
-        k = self.wavenumbers()
+        return sum(k ** 2 for k in self._axis_wavenumbers(np.fft.fftfreq))
+
+    def _axis_wavenumbers(self, last_freq):
+        """Radian wavenumbers per axis, shaped to broadcast: FFT order on the
+        leading axis of a 2-d grid, `last_freq` (fftfreq or rfftfreq) on the last."""
+        k_last = 2.0 * np.pi * last_freq(self.points, d=self.dx)
         if self.dimension == 1:
-            return k ** 2
-        return k[:, None] ** 2 + k[None, :] ** 2
+            return (k_last,)
+        return (2.0 * np.pi * np.fft.fftfreq(self.points, d=self.dx)[:, None], k_last[None, :])
 
 
 @dataclass
@@ -136,7 +144,46 @@ class WaveState:
         return WaveState(self.time, self.u.copy(), self.v.copy())
 
 
-# -- norms ------------------------------------------------------------
+# -- the half-spectrum and norms ---------------------------------------
+
+
+class HalfSpectrum:
+    """The rfftn layout of one grid: |xi|^2, the real transform pair and the
+    Parseval sum.  Its column weights on the last axis are 1 for the DC and
+    Nyquist columns and 2 for the others, which also stand for their complex-
+    conjugate partners.  Get one per grid from `half_spectrum(spec)`."""
+
+    def __init__(self, spec):
+        self.spec = spec
+        self.axes = tuple(range(spec.dimension))
+        k_axes = spec._axis_wavenumbers(np.fft.rfftfreq)
+        self.xi_sq = sum(k ** 2 for k in k_axes)
+        self.weights = np.full(spec.points // 2 + 1, 2.0)
+        self.weights[[0, -1]] = 1.0
+        # d/dx_i is i k_i with the Nyquist mode, the largest |k_i|, zeroed
+        self.gradient_wavenumbers = tuple(np.where(np.abs(k) == np.abs(k).max(), 0.0, k)
+                                          for k in k_axes)
+        for array in (self.xi_sq, self.weights, *self.gradient_wavenumbers):
+            array.flags.writeable = False  # shared by every user of the grid
+
+    def forward(self, values):
+        return np.fft.rfftn(values, axes=self.axes)
+
+    def inverse(self, coeffs):
+        return np.fft.irfftn(coeffs, s=self.spec.shape, axes=self.axes)
+
+    def parseval(self, coeffs, weight=1.0):
+        """Full-spectrum sum of |coeffs|^2 * weight, scaled so that weight 1
+        gives the squared L2 norm (cell weights dx^n) of the field."""
+        power = (coeffs.real ** 2 + coeffs.imag ** 2) * weight
+        spec = self.spec
+        return float(np.sum(power @ self.weights)) * spec.cell / spec.points ** spec.dimension
+
+
+@functools.lru_cache(maxsize=4)
+def half_spectrum(spec):
+    """The shared `HalfSpectrum` of a grid (four grids cover a run plus its checks)."""
+    return HalfSpectrum(spec)
 
 
 def lp_norm(field, p):
@@ -151,45 +198,26 @@ def lp_norm(field, p):
     return float((np.sum(np.abs(vals) ** p) * field.spec.cell) ** (1.0 / p))
 
 
-def _fft_l2(spec, coeff_sq):
-    """L2-type norm from |fft|^2 data: Parseval with cell weights."""
-    total = np.sum(coeff_sq) * spec.cell / spec.points ** spec.dimension
-    return float(math.sqrt(max(total, 0.0)))
-
-
 def spectral_gradient(field):
     """Gradient of the trigonometric interpolant; Nyquist mode zeroed."""
-    spec = field.spec
-    u_hat = np.fft.fftn(field.values)
-    k = spec.wavenumbers()
-    nyq = spec.points // 2
-    out = []
-    for axis in range(spec.dimension):
-        shape = [1] * spec.dimension
-        shape[axis] = spec.points
-        k_axis = k.reshape(shape).copy()
-        k_axis[tuple(nyq if i == axis else 0 for i in range(spec.dimension))] = 0.0
-        d_hat = 1j * k_axis * u_hat
-        out.append(GridField(spec, np.fft.ifftn(d_hat).real))
-    return tuple(out)
+    half = half_spectrum(field.spec)
+    u_hat = half.forward(field.values)
+    return tuple(GridField(field.spec, half.inverse(1j * k * u_hat))
+                 for k in half.gradient_wavenumbers)
 
 
 def hdot_norm(field, k=1):
     """Homogeneous Sobolev seminorm |u|_{H^k} via |xi|^k weights."""
-    spec = field.spec
-    u_hat = np.fft.fftn(field.values)
-    w2 = spec.wavenumber_sq()
-    return _fft_l2(spec, np.abs(u_hat) ** 2 * w2 ** k)
+    half = half_spectrum(field.spec)
+    return math.sqrt(half.parseval(half.forward(field.values), half.xi_sq ** k))
 
 
 def sobolev_norm(field, k):
     """Full H^k norm via spectral weights (1 + |xi|^2)^{k/2}."""
     if k not in (0, 1, 2):
         raise GridError(f"Sobolev order must be 0, 1 or 2, got {k}")
-    spec = field.spec
-    u_hat = np.fft.fftn(field.values)
-    w2 = spec.wavenumber_sq()
-    return _fft_l2(spec, np.abs(u_hat) ** 2 * (1.0 + w2) ** k)
+    half = half_spectrum(field.spec)
+    return math.sqrt(half.parseval(half.forward(field.values), (1.0 + half.xi_sq) ** k))
 
 
 def gn_check(field, dimension=None):

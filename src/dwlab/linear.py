@@ -14,9 +14,9 @@ series in sigma t^2 (sigma = 1/4 - |xi|^2) close to it.  The time
 derivatives follow from the exact identities dK0 = -|xi|^2 K1 and
 dK1 = K0 - K1.
 
-Fields are real, so the flow runs on the rfft half-spectrum: a
-`Propagator` per grid holds |xi|^2 in that layout, the real transform
-pair and the multipliers of the last two step sizes.
+The flow runs on the grid's rfft half-spectrum (`dwlab.grid.half_spectrum`):
+a `Propagator` per grid adds the multipliers of the last two step sizes,
+and `linear_norm_series` advances the spectra from sample to sample.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridField, WaveState, hdot_norm, lp_norm
+from .grid import GridField, WaveState, half_spectrum, lp_norm
 
 __all__ = [
     "Propagator",
@@ -35,7 +35,6 @@ __all__ = [
     "multipliers",
     "propagate",
     "linear_norm_series",
-    "energy",
     "DecayFit",
     "decay_fit",
 ]
@@ -100,11 +99,10 @@ def multipliers(xi_sq, t):
 
 
 class Propagator:
-    """The exact linear flow on one grid, in the rfft half-spectrum.
+    """The exact linear flow on one grid's half-spectrum.
 
-    Holds |xi|^2 in rfftn layout, the real transform pair and the
-    multipliers of the last two step sizes used (a split-step run
-    alternates between its step and the odd step clipped to a sample
+    Holds the multipliers of the last two step sizes used (a split-step
+    run alternates between its step and the odd step clipped to a sample
     time).  Cached multipliers are read-only.  Get one per grid from
     `propagator(spec)`.
     """
@@ -112,27 +110,14 @@ class Propagator:
     CACHED_STEPS = 2
 
     def __init__(self, spec):
-        self.spec = spec
-        self.axes = tuple(range(spec.dimension))
-        k_half = 2.0 * np.pi * np.fft.rfftfreq(spec.points, d=spec.dx)
-        if spec.dimension == 1:
-            self.xi_sq = k_half ** 2
-        else:
-            k = spec.wavenumbers()
-            self.xi_sq = k[:, None] ** 2 + k_half[None, :] ** 2
+        self.half = half_spectrum(spec)
         self._cache = {}  # dt -> (K0, K1, dK0, dK1), least recently used first
-
-    def forward(self, values):
-        return np.fft.rfftn(values, axes=self.axes)
-
-    def inverse(self, coeffs):
-        return np.fft.irfftn(coeffs, s=self.spec.shape, axes=self.axes)
 
     def multipliers(self, dt):
         """(K0, K1, dK0, dK1) over dt on the half-spectrum, built once per dt."""
         found = self._cache.pop(dt, None)
         if found is None:
-            found = multipliers(self.xi_sq, dt)
+            found = multipliers(self.half.xi_sq, dt)
             for array in found:
                 array.flags.writeable = False
             if len(self._cache) >= self.CACHED_STEPS:
@@ -143,8 +128,9 @@ class Propagator:
     def flow(self, u, v, dt):
         """Arrays (u, v) carried exactly over dt by the linear flow."""
         K0, K1, dK0, dK1 = self.multipliers(dt)
-        u_hat, v_hat = self.forward(u), self.forward(v)
-        return self.inverse(K0 * u_hat + K1 * v_hat), self.inverse(dK0 * u_hat + dK1 * v_hat)
+        half = self.half
+        u_hat, v_hat = half.forward(u), half.forward(v)
+        return half.inverse(K0 * u_hat + K1 * v_hat), half.inverse(dK0 * u_hat + dK1 * v_hat)
 
 
 @functools.lru_cache(maxsize=4)
@@ -173,31 +159,37 @@ def propagate(state, dt):
     return out
 
 
-def energy(state):
-    """E = 1/2 |u_t|_{L2}^2 + 1/2 |grad u|_{L2}^2 (non-increasing linearly)."""
-    return 0.5 * lp_norm(state.v, 2) ** 2 + 0.5 * hdot_norm(state.u, 1) ** 2
-
-
 def linear_norm_series(state, times):
     """Norm diagnostics of the linear flow at the requested times.
 
-    Propagation is sample-to-sample (the exact flow is a semigroup), so
-    the cost is one transform pair per sample regardless of spacing.
+    The spectra of (u, u_t) advance from sample to sample (the exact flow
+    is a semigroup), so each sample costs one multiplier build and one
+    inverse transform, for L1/L2/Linf; H1dot and the energy
+    E = 1/2 |u_t|_{L2}^2 + 1/2 |grad u|_{L2}^2 come from Parseval sums.
     """
     times = np.asarray(times, dtype=float)
-    if np.any(np.diff(times) <= 0) or times[0] < state.time:
-        raise ValueError("times must be increasing and start at or after the state time")
-    out = {key: [] for key in ("t", "L1", "L2", "Linf", "H1dot", "energy")}
-    current = state
-    for t in times:
-        current = propagate(current, t - current.time)
-        out["t"].append(t)
-        out["L1"].append(lp_norm(current.u, 1))
-        out["L2"].append(lp_norm(current.u, 2))
-        out["Linf"].append(lp_norm(current.u, np.inf))
-        out["H1dot"].append(hdot_norm(current.u, 1))
-        out["energy"].append(energy(current))
-    return {key: np.asarray(vals) for key, vals in out.items()}
+    if not np.all(np.isfinite(times)) or np.any(np.diff(times) <= 0) \
+            or times[0] < state.time:
+        raise ValueError("times must be finite, increasing and start at or after the state time")
+    if not (state.u.is_finite() and state.v.is_finite()):
+        raise ValueError("cannot propagate a non-finite state")
+    spec = state.spec
+    half = half_spectrum(spec)
+    u_hat, v_hat = half.forward(state.u.values), half.forward(state.v.values)
+    out = {key: [] for key in ("L1", "L2", "Linf", "H1dot", "energy")}
+    for t_prev, t in zip([state.time, *times], times):
+        K0, K1, dK0, dK1 = multipliers(half.xi_sq, t - t_prev)
+        u_hat, v_hat = K0 * u_hat + K1 * v_hat, dK0 * u_hat + dK1 * v_hat
+        grad_sq = half.parseval(u_hat, half.xi_sq)
+        energy = 0.5 * half.parseval(v_hat) + 0.5 * grad_sq
+        if not math.isfinite(energy):
+            raise ValueError(f"linear flow to t={t} produced non-finite norms")
+        u = GridField(spec, half.inverse(u_hat))
+        for key, p in (("L1", 1), ("L2", 2), ("Linf", np.inf)):
+            out[key].append(lp_norm(u, p))
+        out["H1dot"].append(math.sqrt(grad_sq))
+        out["energy"].append(energy)
+    return {"t": times.copy(), **{key: np.asarray(vals) for key, vals in out.items()}}
 
 
 @dataclass

@@ -36,12 +36,15 @@ __all__ = [
     "Kind",
     "Verdict",
     "Modulus",
+    "ModulusError",
     "Nonlinearity",
     "PowerForcing",
     "ConditionReport",
     "catalog_make",
     "parse_modulus_spec",
     "parse_forcing_spec",
+    "format_modulus_spec",
+    "load_custom_modulus",
     "check_slow_variation",
     "classify_dini",
     "check_h_convexity",

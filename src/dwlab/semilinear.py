@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import GridError, GridField, WaveState, hdot_norm, lp_norm, sobolev_norm
-from .linear import multipliers, propagate, propagator
+from .grid import GridError, GridField, WaveState, half_spectrum, hdot_norm, lp_norm, sobolev_norm
+from .linear import multipliers, propagate
 
 __all__ = [
     "EvolveConfig",
@@ -64,12 +64,12 @@ class EvolveConfig:
     keep_fields: bool = True
 
     def __post_init__(self):
-        if self.dt <= 0 or self.t_max <= 0:
-            raise ValueError("dt and t_max must be positive")
+        for name, low in (("dt", 0), ("t_max", 0), ("dt_min", 0), ("blowup_threshold", 1)):
+            value = getattr(self, name)
+            if not low < value < math.inf:
+                raise ValueError(f"{name} must be finite and exceed {low}, got {value}")
         if self.sample_stride < 1:
             raise ValueError(f"sample_stride must be a positive integer, got {self.sample_stride}")
-        if self.blowup_threshold <= 1:
-            raise ValueError("blowup_threshold must exceed 1")
         if self.data.spec != self.grid:
             raise ValueError("data grid does not match configured grid")
 
@@ -116,24 +116,28 @@ def step(state, h_u, dt, nonlinearity):
     return out, h_new
 
 
-def xnorm_weight(state, dimension):
-    """The time-weighted sum tracked by the solution-space norm:
+def xnorm_weight(t, dimension, norms):
+    """The time-weighted sum tracked by the solution-space norm, from the
+    norms "L2", "H1dot" (= |grad u|_{L2}) and "Linf" of u at time t:
 
     sum_{k=0,1} (1+t)^{(n+2k)/4} |grad^k u|_{L2} + (1+t)^{n/2} |u|_{Linf}.
     """
     n = dimension
-    t = state.time
-    return ((1.0 + t) ** (n / 4.0) * lp_norm(state.u, 2)
-            + (1.0 + t) ** ((n + 2.0) / 4.0) * hdot_norm(state.u, 1)
-            + (1.0 + t) ** (n / 2.0) * lp_norm(state.u, np.inf))
+    return ((1.0 + t) ** (n / 4.0) * norms["L2"]
+            + (1.0 + t) ** ((n + 2.0) / 4.0) * norms["H1dot"]
+            + (1.0 + t) ** (n / 2.0) * norms["Linf"])
+
+
+def _xnorm_norms(u):
+    """The norms of the field u that xnorm_weight combines."""
+    return {"L2": lp_norm(u, 2), "Linf": lp_norm(u, np.inf), "H1dot": hdot_norm(u, 1)}
 
 
 def _record(traj_norms, state, dimension):
-    traj_norms["L1"].append(lp_norm(state.u, 1))
-    traj_norms["L2"].append(lp_norm(state.u, 2))
-    traj_norms["Linf"].append(lp_norm(state.u, np.inf))
-    traj_norms["H1dot"].append(hdot_norm(state.u, 1))
-    return xnorm_weight(state, dimension)
+    norms = {"L1": lp_norm(state.u, 1), **_xnorm_norms(state.u)}
+    for key, value in norms.items():
+        traj_norms[key].append(value)
+    return xnorm_weight(state.time, dimension, norms)
 
 
 def evolve(config):
@@ -201,18 +205,18 @@ def evolve(config):
 # -- Picard / Duhamel cross-validation --------------------------------
 
 
-def _duhamel_u(prop, K1_lags, h_hat_list, dt_loc, i):
+def _duhamel_u(half, K1_lags, h_hat_list, dt_loc, i):
     """u-component of int_0^{t_i} Phi(t_i - s) * h(u(s)) ds by trapezoid.
 
     K1_lags[k] is K1 at the lag t_k - t_0 of the uniform grid.
     """
     if i == 0:
-        return np.zeros(prop.spec.shape)
+        return np.zeros(half.spec.shape)
     acc = np.zeros_like(h_hat_list[0])
     for j in range(i + 1):
         w = 0.5 if j in (0, i) else 1.0
         acc += w * dt_loc * K1_lags[i - j] * h_hat_list[j]
-    return prop.inverse(acc)
+    return half.inverse(acc)
 
 
 def picard_verify(config, window_T=1.0, iterations=4):
@@ -241,25 +245,21 @@ def picard_verify(config, window_T=1.0, iterations=4):
     if not (data.u.is_finite() and data.v.is_finite()):
         raise ValueError("cannot propagate a non-finite state")
     # one multiplier build per lag t_k - t_0 serves every pair (i, j) with i - j = k
-    prop = propagator(spec)
-    lags = [multipliers(prop.xi_sq, t - t_grid[0])[:2] for t in t_grid]
-    phi_hat, psi_hat = prop.forward(data.u.values), prop.forward(data.v.values)
-    u_lin = [prop.inverse(K0 * phi_hat + K1 * psi_hat) for K0, K1 in lags]
+    half = half_spectrum(spec)
+    lags = [multipliers(half.xi_sq, t - t_grid[0])[:2] for t in t_grid]
+    phi_hat, psi_hat = half.forward(data.u.values), half.forward(data.v.values)
+    u_lin = [half.inverse(K0 * phi_hat + K1 * psi_hat) for K0, K1 in lags]
     K1_lags = [K1 for _, K1 in lags]
 
     def weighted_norm(diff_fields):
-        best = 0.0
-        for t, vals in zip(t_grid, diff_fields):
-            f = GridField(spec, vals)
-            st = WaveState(t, f, GridField.zeros(spec))
-            best = max(best, xnorm_weight(st, n))
-        return best
+        return max(xnorm_weight(t, n, _xnorm_norms(GridField(spec, vals)))
+                   for t, vals in zip(t_grid, diff_fields))
 
     current = [u.copy() for u in u_lin]
     increments = []
     for _ in range(iterations):
-        h_hat = [prop.forward(config.nonlinearity.h_eval(u)) for u in current]
-        nxt = [u_lin[i] + _duhamel_u(prop, K1_lags, h_hat, dt_loc, i) for i in range(m + 1)]
+        h_hat = [half.forward(config.nonlinearity.h_eval(u)) for u in current]
+        nxt = [u_lin[i] + _duhamel_u(half, K1_lags, h_hat, dt_loc, i) for i in range(m + 1)]
         increments.append(weighted_norm([a - b for a, b in zip(nxt, current)]))
         current = nxt
 
@@ -326,7 +326,7 @@ def make_data(spec, shape="gaussian", amplitude=1.0, width=1.0, center=0.0,
 def check_torus_size(spec, t_max, data_radius, margin=2.0):
     """Wrap-around guard: unit speed propagation must not reach the boundary."""
     needed = data_radius + t_max + margin
-    if spec.half_length < needed:
+    if not spec.half_length >= needed:
         raise GridError(
             f"half_length {spec.half_length} too small: need >= {needed} "
             f"(data radius {data_radius} + horizon {t_max} + margin {margin})")

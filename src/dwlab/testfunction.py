@@ -36,6 +36,7 @@ __all__ = [
     "wave_operator_on_weight",
     "functional_ir",
     "functional_y",
+    "functional_y_exchanged",
     "kernel_k",
     "jensen_check",
     "blowup_certificate",
@@ -168,8 +169,8 @@ def weight_bound_constant(dimension, r0, grid_size=4001):
     over [-4z, 1/r0]; the maximum over a linear function sits at an
     endpoint, so scanning z with both endpoint values calibrates C.
     """
-    if r0 <= 0:
-        raise ValueError("r0 must be positive")
+    if not 0 < r0 < math.inf:
+        raise ValueError(f"r0 must be positive and finite, got {r0}")
     n = dimension
     z = np.linspace(0.5, 1.0, grid_size)[1:-1]
     e, e1, e2 = eta(z), eta_d1(z), eta_d2(z)

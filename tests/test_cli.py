@@ -54,19 +54,30 @@ def test_missing_config_file_is_usage_error(capsys):
     _assert_one_line_usage_error(capsys, ["classify", "--config", "/nonexistent/file.cfg"])
 
 
-@pytest.mark.parametrize("command", ["classify", "run", "certificate"])
-@pytest.mark.parametrize("spec", ["custom:{tmp}/missing.txt", "custom:{tmp}/convex.txt",
-                                  "oracle:p=2"])
-def test_user_errors_are_one_line(tmp_path, capsys, command, spec):
+_USER_ERRORS = [
+    pytest.param(command, {"modulus": spec}, id=f"{spec}-{command}")
+    for command in ("classify", "run", "certificate")
+    for spec in ("custom:{tmp}/missing.txt", "custom:{tmp}/convex.txt", "oracle:p=2")
+] + [
+    # NaN compares false with every bound, so each check must be written lo < x < inf
+    pytest.param(command, {key: "nan"}, id=f"{key}=nan-{command}")
+    for command, key in (("run", "t_max"), ("run", "L"), ("run", "dt"),
+                         ("linear", "t_max"), ("linear", "L"), ("certificate", "L"),
+                         ("certificate", "r0"))
+]
+
+
+@pytest.mark.parametrize("command, overrides", _USER_ERRORS)
+def test_user_errors_are_one_line(tmp_path, capsys, command, overrides):
     (tmp_path / "convex.txt").write_text("0 0\n0.5 0.1\n1 1\n")
-    spec = spec.format(tmp=tmp_path)
+    cfg = dict(dimension=1, L=64.0, N=512, t_max=5.0, R=16.0, dt=0.05, width=2.0,
+               modulus="invlog:p=2")
+    cfg.update({key: value.format(tmp=tmp_path) for key, value in overrides.items()})
     if command == "classify":
-        argv = ["classify", spec]
+        argv = ["classify", cfg["modulus"]]
     else:
-        cfg = _write_config(tmp_path, f"{command}.cfg",
-                            dimension=1, L=64.0, N=512, t_max=5.0, R=16.0,
-                            dt=0.05, width=2.0, modulus=spec)
-        argv = [command, "--config", cfg, "--out", str(tmp_path / "out")]
+        argv = [command, "--config", _write_config(tmp_path, f"{command}.cfg", **cfg),
+                "--out", str(tmp_path / "out")]
     _assert_one_line_usage_error(capsys, argv)
 
 

@@ -35,8 +35,9 @@ def _gaussian_1d(length=20.0, points=512, width=1.0):
 def test_spec_rejects_bad_parameters():
     with pytest.raises(GridError):
         GridSpec(3, 10.0, 64)
-    with pytest.raises(GridError):
-        GridSpec(1, -1.0, 64)
+    for half_length in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(GridError, match="half_length"):
+            GridSpec(1, half_length, 64)
     with pytest.raises(GridError):
         GridSpec(1, 10.0, 48)  # not a power of two
     with pytest.raises(GridError):
@@ -84,13 +85,31 @@ def test_lp_norm_flags_nonfinite_with_index():
         lp_norm(f, 2)
 
 
-def test_parseval():
+@pytest.mark.parametrize("spec", [GridSpec(1, 5.0, 256), GridSpec(2, 5.0, 64)], ids=["1d", "2d"])
+def test_parseval(spec):
+    # white noise fills the DC and Nyquist columns of the half-spectrum, so a
+    # wrong Parseval weight there shows against the full-FFT reference
     rng = np.random.default_rng(3)
-    spec = GridSpec(1, 5.0, 256)
     f = GridField(spec, rng.standard_normal(spec.shape))
-    physical = lp_norm(f, 2)
-    spectral = sobolev_norm(f, 0)
-    assert physical == pytest.approx(spectral, rel=1e-12)
+    assert lp_norm(f, 2) == pytest.approx(sobolev_norm(f, 0), rel=1e-12)
+
+    u_hat = np.fft.fftn(f.values)
+    xi_sq = spec.wavenumber_sq()
+
+    def full_norm(weight):
+        return math.sqrt(np.sum(np.abs(u_hat) ** 2 * weight)
+                         * spec.cell / spec.points ** spec.dimension)
+
+    assert hdot_norm(f, 1) == pytest.approx(full_norm(xi_sq), rel=1e-12)
+    for k in (0, 1, 2):
+        assert sobolev_norm(f, k) == pytest.approx(full_norm((1.0 + xi_sq) ** k), rel=1e-12)
+    k_axis = 2.0 * np.pi * np.fft.fftfreq(spec.points, d=spec.dx)
+    k_axis[spec.points // 2] = 0.0
+    for axis, g in enumerate(spectral_gradient(f)):
+        shape = [1] * spec.dimension
+        shape[axis] = spec.points
+        ref = np.fft.ifftn(1j * k_axis.reshape(shape) * u_hat).real
+        assert np.max(np.abs(g.values - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_norm_inequalities_random_fields():

@@ -8,7 +8,6 @@ import pytest
 from dwlab.grid import GridField, GridSpec, WaveState, lp_norm
 from dwlab.linear import (
     decay_fit,
-    energy,
     linear_norm_series,
     multipliers,
     propagate,
@@ -202,6 +201,52 @@ def test_propagate_single_eigenmode():
     K0, *_ = multipliers(np.array([k * k]), t)
     expected = K0[0] * np.cos(k * spec.axis())
     assert np.max(np.abs(out.u.values - expected)) < 1e-12
+
+
+def _reference_series(state, times):
+    """The series by a loop of `propagate`, physical-space norms and a
+    full-FFT |grad u|_{L2}, independent of the half-spectrum Parseval sum."""
+    spec = state.spec
+    out = {key: [] for key in ("L1", "L2", "Linf", "H1dot", "energy")}
+    for t in times:
+        state = propagate(state, t - state.time)
+        grad_sq = (np.sum(np.abs(np.fft.fftn(state.u.values)) ** 2 * spec.wavenumber_sq())
+                   * spec.cell / spec.points ** spec.dimension)
+        out["L1"].append(lp_norm(state.u, 1))
+        out["L2"].append(lp_norm(state.u, 2))
+        out["Linf"].append(lp_norm(state.u, np.inf))
+        out["H1dot"].append(math.sqrt(grad_sq))
+        out["energy"].append(0.5 * lp_norm(state.v, 2) ** 2 + 0.5 * grad_sq)
+    return out
+
+
+@pytest.mark.parametrize("spec", [GridSpec(1, 16.0, 256), GridSpec(2, 8.0, 32)], ids=["1d", "2d"])
+def test_linear_norm_series_matches_propagate_loop(spec):
+    # white-noise data fill every column of the half-spectrum, DC and Nyquist included,
+    # and the early samples keep them, so H1dot and the energy see the Parseval weights
+    rng = np.random.default_rng(17)
+    state = WaveState(0.0, GridField(spec, rng.standard_normal(spec.shape)),
+                      GridField(spec, rng.standard_normal(spec.shape)))
+    times = np.array([0.0, 0.05, 0.3, 1.0, 2.5, 6.0, 15.0])
+    series = linear_norm_series(state, times)
+    reference = _reference_series(state, times)
+    assert np.array_equal(series["t"], times)
+    for key, values in reference.items():
+        assert np.max(np.abs(series[key] / np.asarray(values) - 1.0)) <= 1e-12, key
+
+
+def test_linear_norm_series_rejects_non_finite():
+    spec = GridSpec(1, 16.0, 256)
+    state = _psi_state(spec)
+    with pytest.raises(ValueError, match="times"):
+        linear_norm_series(state, np.array([1.0, np.nan]))
+    bad = state.copy()
+    bad.v.values[3] = np.inf
+    with pytest.raises(ValueError, match="non-finite state"):
+        linear_norm_series(bad, np.array([1.0]))
+    huge = GridField(spec, np.full(spec.shape, 1e308))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
+        linear_norm_series(WaveState(0.0, huge, huge), np.array([0.1]))
 
 
 def test_energy_dissipation():

@@ -202,6 +202,13 @@ def test_config_validation():
     with pytest.raises(ValueError):
         EvolveConfig(grid=other, nonlinearity=PowerForcing(1.5), data=data,
                      dt=0.1, t_max=1.0)
+    # NaN compares false both ways, so each bound is checked as lo < x < inf
+    for key, bad in (("dt", math.nan), ("t_max", math.nan), ("t_max", math.inf),
+                     ("dt_min", math.nan), ("dt_min", 0.0),
+                     ("blowup_threshold", math.nan), ("blowup_threshold", 1.0)):
+        kwargs = {"dt": 0.1, "t_max": 1.0, key: bad}
+        with pytest.raises(ValueError, match=key):
+            EvolveConfig(grid=spec, nonlinearity=PowerForcing(1.5), data=data, **kwargs)
     # a stride below one would never advance the next sample time
     for stride in (0, -3):
         with pytest.raises(ValueError, match="sample_stride"):
@@ -283,3 +290,5 @@ def test_torus_size_guard():
     check_torus_size(spec, t_max=50.0, data_radius=8.0)
     with pytest.raises(GridError):
         check_torus_size(spec, t_max=100.0, data_radius=8.0)
+    with pytest.raises(GridError):
+        check_torus_size(spec, t_max=math.nan, data_radius=8.0)
