@@ -195,8 +195,8 @@ def cmd_linear(args, cfg):
     t_start = time.perf_counter()
     spec = _build_grid(cfg)
     t_max = _get(cfg, "t_max", float, 2000.0)
-    _enforce_torus(spec, cfg, t_max)
     data = _build_data(spec, cfg)
+    _enforce_torus(spec, cfg, t_max)
     out = _run_dir(_out_root(args), "linear", cfg)
     times = np.geomspace(max(t_max * 0.01, 1.0), t_max, 45)
     series = linear_norm_series(data, times)
@@ -233,8 +233,8 @@ def _single_run(cfg):
     t_start = time.perf_counter()
     spec = _build_grid(cfg)
     t_max = _get(cfg, "t_max", float, 100.0)
-    _enforce_torus(spec, cfg, t_max)
     data = _build_data(spec, cfg)
+    _enforce_torus(spec, cfg, t_max)
     forcing = parse_forcing_spec(_get(cfg, "modulus", str, None), spec.dimension)
     run_cfg = EvolveConfig(
         grid=spec, nonlinearity=forcing, data=data,
@@ -343,8 +343,8 @@ def cmd_certificate(args, cfg):
     shape = _get(cfg, "shape", str, "gaussian")
     if shape == "dgaussian":
         raise ValueError("zero-mean data rejected (positive-mean hypothesis)")
-    _enforce_torus(spec, cfg, big_r)
     data = _build_data(spec, cfg)
+    _enforce_torus(spec, cfg, big_r)
     forcing = parse_forcing_spec(_get(cfg, "modulus", str, None), spec.dimension)
     run_cfg = EvolveConfig(grid=spec, nonlinearity=forcing, data=data,
                            dt=_get(cfg, "dt", float, 0.05), t_max=big_r,

@@ -46,6 +46,7 @@ __all__ = [
     "format_modulus_spec",
     "load_custom_modulus",
     "check_slow_variation",
+    "shell_integrals",
     "classify_dini",
     "check_h_convexity",
 ]
@@ -476,6 +477,78 @@ def check_slow_variation(modulus, s0=None, grid_size=400):
     return report
 
 
+# QUADPACK's 21-point Gauss-Kronrod rule (dqk21, Piessens et al. 1983):
+# Kronrod abscissae on [0, 1] in decreasing order ending at the centre, their
+# weights, and the weights of the embedded 10-point Gauss rule, whose nodes
+# are the odd entries (0-based) of _XGK.
+_XGK = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0])
+_WGK = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821])
+_WG = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338])
+
+
+def shell_integrals(f, lo, hi, epsabs, epsrel, limit=50):
+    """int_{lo_i}^{hi_i} f for every panel i, as scipy's quad returns them.
+
+    f is called once, on the 21 Kronrod nodes of all panels together, and
+    the rule is summed in dqk21's order.  A panel keeps that value when it
+    passes the test dqagse applies to its first rule before it would
+    subdivide; any other panel, or one that is not finite, goes to quad
+    with the same epsabs, epsrel and limit (quad's default is 50).
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    centre = 0.5 * (lo + hi)[:, None]
+    half = 0.5 * (hi - lo)
+    absc = half[:, None] * _XGK[:10]
+    nodes = np.hstack([centre - absc, centre + absc, centre])
+    values = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
+    left, right, fc = values[:, :10], values[:, 10:20], values[:, 20]
+    eps = np.finfo(float).eps
+    # a non-finite panel is refused below and handed to quad
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        resg = np.zeros_like(fc)
+        resk = _WGK[10] * fc
+        resabs = np.abs(resk)
+        for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):  # Gauss pairs first
+            pair = left[:, j] + right[:, j]
+            if j % 2:
+                resg = resg + _WG[j // 2] * pair
+            resk = resk + _WGK[j] * pair
+            resabs = resabs + _WGK[j] * (np.abs(left[:, j]) + np.abs(right[:, j]))
+        mean = 0.5 * resk
+        resasc = _WGK[10] * np.abs(fc - mean)
+        for j in range(10):
+            resasc = resasc + _WGK[j] * (np.abs(left[:, j] - mean) + np.abs(right[:, j] - mean))
+        result = resk * half
+        resabs = resabs * np.abs(half)
+        resasc = resasc * np.abs(half)
+        abserr = np.abs((resk - resg) * half)
+        scaled = resasc * np.minimum(1.0, (200.0 * abserr / resasc) ** 1.5)
+        abserr = np.where((resasc != 0) & (abserr != 0), scaled, abserr)
+        abserr = np.where(resabs > np.finfo(float).tiny / (50.0 * eps),
+                          np.maximum(50.0 * eps * resabs, abserr), abserr)
+        accept = (((abserr <= np.maximum(epsabs, epsrel * np.abs(result))) & (abserr != resasc))
+                  | (abserr == 0)) & np.isfinite(result)
+    for i in np.nonzero(~accept)[0]:
+        result[i], _ = quad(f, lo[i], hi[i], epsabs=epsabs, epsrel=epsrel, limit=limit)
+    return result
+
+
 def _dini_shells(modulus, shells, base):
     """Dyadic-shell integrals S_k = int_{a 2^{-k-1}}^{a 2^{-k}} mu(t)/t dt.
 
@@ -484,12 +557,9 @@ def _dini_shells(modulus, shells, base):
     """
     w0 = -math.log(base)
     ln2 = math.log(2.0)
-    out = np.empty(shells)
-    for k in range(shells):
-        val, _ = quad(modulus.eval_neglog, w0 + k * ln2, w0 + (k + 1) * ln2,
-                      epsabs=1e-10, epsrel=1e-10, limit=200)
-        out[k] = val
-    return out, w0
+    k = np.arange(shells)
+    return shell_integrals(modulus.eval_neglog, w0 + k * ln2, w0 + (k + 1) * ln2,
+                           epsabs=1e-10, epsrel=1e-10, limit=200), w0
 
 
 def classify_dini(modulus, shells=240, base=0.01):

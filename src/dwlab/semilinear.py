@@ -304,6 +304,11 @@ def make_data(spec, shape="gaussian", amplitude=1.0, width=1.0, center=0.0,
         raise ValueError(f"unknown data shape {shape!r}")
     if component not in ("phi", "psi"):
         raise ValueError(f"component must be phi or psi, got {component!r}")
+    for name, value in (("amplitude", amplitude), ("center", center)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if not 0 < width < math.inf:
+        raise ValueError(f"width must be positive and finite, got {width}")
 
     def bump(*coords):
         r_sq = sum((c - center) ** 2 for c in coords)

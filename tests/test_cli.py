@@ -48,27 +48,34 @@ def _assert_one_line_usage_error(capsys, argv):
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"dwlab {argv[0]}: ")
     assert "Traceback" not in captured.err + captured.out
+    return lines[0]
 
 
 def test_missing_config_file_is_usage_error(capsys):
     _assert_one_line_usage_error(capsys, ["classify", "--config", "/nonexistent/file.cfg"])
 
 
+# (command, config overrides, a word the error line must contain)
 _USER_ERRORS = [
-    pytest.param(command, {"modulus": spec}, id=f"{spec}-{command}")
+    pytest.param(command, {"modulus": spec}, "", id=f"{spec}-{command}")
     for command in ("classify", "run", "certificate")
     for spec in ("custom:{tmp}/missing.txt", "custom:{tmp}/convex.txt", "oracle:p=2")
 ] + [
     # NaN compares false with every bound, so each check must be written lo < x < inf
-    pytest.param(command, {key: "nan"}, id=f"{key}=nan-{command}")
+    pytest.param(command, {key: "nan"}, "", id=f"{key}=nan-{command}")
     for command, key in (("run", "t_max"), ("run", "L"), ("run", "dt"),
                          ("linear", "t_max"), ("linear", "L"), ("certificate", "L"),
                          ("certificate", "r0"))
+] + [
+    # a bad data parameter is reported by its config key
+    pytest.param(command, {key: "nan"}, key, id=f"{key}=nan-{command}")
+    for command, key in (("run", "amplitude"), ("linear", "amplitude"),
+                         ("certificate", "amplitude"), ("run", "width"))
 ]
 
 
-@pytest.mark.parametrize("command, overrides", _USER_ERRORS)
-def test_user_errors_are_one_line(tmp_path, capsys, command, overrides):
+@pytest.mark.parametrize("command, overrides, named", _USER_ERRORS)
+def test_user_errors_are_one_line(tmp_path, capsys, command, overrides, named):
     (tmp_path / "convex.txt").write_text("0 0\n0.5 0.1\n1 1\n")
     cfg = dict(dimension=1, L=64.0, N=512, t_max=5.0, R=16.0, dt=0.05, width=2.0,
                modulus="invlog:p=2")
@@ -78,7 +85,7 @@ def test_user_errors_are_one_line(tmp_path, capsys, command, overrides):
     else:
         argv = [command, "--config", _write_config(tmp_path, f"{command}.cfg", **cfg),
                 "--out", str(tmp_path / "out")]
-    _assert_one_line_usage_error(capsys, argv)
+    assert named in _assert_one_line_usage_error(capsys, argv)
 
 
 # -- classify ---------------------------------------------------------

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
+from dwlab import modulus as modulus_module
 from dwlab.modulus import (
     Kind,
     Modulus,
@@ -16,6 +18,7 @@ from dwlab.modulus import (
     Nonlinearity,
     PowerForcing,
     Verdict,
+    _dini_shells,
     catalog_make,
     check_h_convexity,
     check_slow_variation,
@@ -199,6 +202,49 @@ def test_classifier_divergent_partial_sums_grow():
     running = np.cumsum(shells)
     # S_k ~ log(2)/k, so the running sum keeps growing like log k
     assert running[-1] > 1.2 * running[len(running) // 4]
+
+
+# A concave table whose kinks at 1e-12 and 1e-6 fall inside shells; the one
+# at 1e-12 is so small that the 21-point error estimate saturates (equals
+# resasc) while still under the absolute tolerance.
+_KINKED_TABLE = "0 0\n1e-12 1e-12\n1e-6 1e-8\n1e-2 2e-5\n1 1e-4\n"
+
+
+def _kinked(tmp_path):
+    path = tmp_path / "kinked.txt"
+    path.write_text(_KINKED_TABLE)
+    return load_custom_modulus(path)
+
+
+def _shells_by_quad(mu, shells=240, base=0.01):
+    """The per-shell loop that `_dini_shells` replaced: one scalar quad each."""
+    w0, ln2 = -math.log(base), math.log(2.0)
+    return np.array([quad(mu.eval_neglog, w0 + k * ln2, w0 + (k + 1) * ln2,
+                          epsabs=1e-10, epsrel=1e-10, limit=200)[0] for k in range(shells)])
+
+
+@pytest.mark.parametrize("entry", CATALOG + [("kinked", None, None)],
+                         ids=lambda e: "-".join(str(v) for v in e if v is not None))
+def test_dini_shells_match_scalar_quad(tmp_path, entry):
+    kind, p, depth = entry
+    mu = _kinked(tmp_path) if kind == "kinked" else catalog_make(kind, p=p, depth=depth)
+    shells, _ = _dini_shells(mu, 240, 0.01)
+    np.testing.assert_allclose(shells, _shells_by_quad(mu), rtol=1e-13, atol=0.0)
+
+
+def test_quad_fallback_only_where_the_first_rule_fails(tmp_path, monkeypatch):
+    calls = []
+
+    def counting_quad(*args, **kwargs):
+        calls.append(args[1:3])
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(modulus_module, "quad", counting_quad)
+    for mu in _entries():
+        _dini_shells(mu, 240, 0.01)
+    assert calls == []
+    _dini_shells(_kinked(tmp_path), 240, 0.01)
+    assert len(calls) >= 1
 
 
 # -- the composed nonlinearity ----------------------------------------

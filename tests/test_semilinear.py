@@ -285,6 +285,20 @@ def test_make_data_zero_mean_variant():
         make_data(spec, shape="box")
 
 
+@pytest.mark.parametrize("key, value", [("amplitude", math.nan), ("amplitude", math.inf),
+                                        ("center", math.nan), ("width", math.nan),
+                                        ("width", math.inf), ("width", 0.0), ("width", -2.0)])
+def test_make_data_names_bad_parameter(key, value):
+    with pytest.raises(ValueError, match=key):
+        make_data(_spec(), **{"amplitude": 1.0, "width": 2.0, key: value})
+
+
+def test_make_data_allows_zero_and_negative_amplitude():
+    spec = _spec()
+    assert a_norm(make_data(spec, amplitude=0.0, width=2.0)) == 0.0
+    assert make_data(spec, amplitude=-1.0, width=2.0).v.values.max() <= 0.0
+
+
 def test_torus_size_guard():
     spec = _spec()  # half_length 64
     check_torus_size(spec, t_max=50.0, data_radius=8.0)

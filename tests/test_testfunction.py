@@ -290,6 +290,57 @@ def test_certificate_crossing_when_budget_is_tiny():
     assert report.verdict == "witness-observed"
 
 
+def _certificate_by_loop(mu, n, c2, budget, r0, r_max):
+    """The shell loop `blowup_certificate` replaced, eight shells a decade:
+    (lhs_final, r_final, crossing_r)."""
+    ln_c2 = math.log(c2)
+
+    def integrand(x):
+        return mu.eval_neglog((n / 2.0) * x - ln_c2)
+
+    x, x_end = math.log(r0), math.log(r_max)
+    step = math.log(10.0) / 8
+    total, crossing = 0.0, math.inf
+    while x < x_end:
+        hi = min(x + step, x_end)
+        total += quad(integrand, x, hi, epsabs=1e-14, epsrel=1e-10)[0]
+        x = hi
+        if total > budget:
+            crossing = math.exp(x)
+            break
+    return total, math.exp(min(x, 700.0)), crossing
+
+
+@pytest.mark.parametrize("kind, p, y_r0, constant, r_max, verdict", [
+    ("invlog", 2.0, 0.02, None, 1e300, "bounded-no-witness"),
+    ("invlog", 1.0, 0.02, None, 1e300, "witness-beyond-range"),
+    ("invlog", 1.0, 0.02, None, 1e30, "witness-beyond-range"),
+    ("power", 1.0, 0.02, None, 1e300, "bounded-no-witness"),
+    ("invlog", 1.0, 5.0, 2.0, 1e300, "witness-observed"),
+    ("invlog", 1.0, 0.02, None, 160.0, "witness-beyond-range"),
+])
+def test_certificate_matches_scalar_shell_loop(kind, p, y_r0, constant, r_max, verdict):
+    mu = catalog_make(kind, p=p)
+    constant = constant or weight_bound_constant(1, 16.0)
+    report = blowup_certificate(mu, 1, y_r0=y_r0, constant=constant, r0=16.0, r_max=r_max)
+    lhs, r_final, crossing = _certificate_by_loop(mu, 1, report.c2, report.budget, 16.0, r_max)
+    assert report.verdict == verdict
+    assert report.certified == math.isfinite(crossing)
+    assert report.crossing_r == crossing and report.r_final == r_final
+    assert report.lhs_final == pytest.approx(lhs, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("bad", [dict(r_max=math.inf), dict(r_max=math.nan), dict(r_max=16.0),
+                                 dict(r_max=4.0), dict(r0=0.0), dict(r0=math.nan),
+                                 dict(shells_per_decade=-8), dict(shells_per_decade=0),
+                                 dict(shells_per_decade=math.nan),
+                                 dict(shells_per_decade=math.inf)], ids=str)
+def test_certificate_rejects_bad_ranges(bad):
+    mu = catalog_make("invlog", p=1.0)
+    with pytest.raises(ValueError):
+        blowup_certificate(mu, 1, y_r0=0.02, constant=10.0, **{"r0": 16.0, **bad})
+
+
 def test_certificate_rejects_zero_functional():
     mu = catalog_make("invlog", p=1.0)
     with pytest.raises(ValueError):
