@@ -4,7 +4,7 @@ Submodules
 ----------
 modulus       moduli of continuity, the forcing term, and the integral test
               separating global existence from blow-up
-grid          periodic grids, spectral calculus, norms, field I/O
+grid          periodic grids, spectral calculus, norms
 linear        exact Fourier-multiplier flow of the damped wave operator
 semilinear    split-step time integration, blow-up detection,
               fixed-point cross-checks

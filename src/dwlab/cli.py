@@ -165,21 +165,21 @@ def cmd_classify(args, cfg):
     if not spec_text:
         raise ValueError("need a modulus spec (positional or config key 'modulus')")
     modulus = parse_modulus_spec(spec_text)
-    report = classify_dini(modulus)
+    dini = classify_dini(modulus)
     slow = check_slow_variation(modulus)
     n = _get(cfg, "dimension", int, 1)
-    convexity = check_h_convexity(Nonlinearity(modulus, n))
+    convexity_min = check_h_convexity(Nonlinearity(modulus, n))
     print(f"modulus          : {spec_text}")
-    ratios = ", ".join(f"k={k}: {v:.6g}" for k, v in sorted(slow.max_ratio.items()))
+    ratios = ", ".join(f"k={k}: {v:.6g}" for k, v in sorted(slow.items()))
     print(f"slow variation   : {ratios}")
-    print(f"convexity min    : {convexity.convexity_min:.6g}")
-    print(f"integral verdict : {report.dini_verdict.value}")
-    print(f"analytic label   : {report.analytic_label.value if report.analytic_label else 'n/a'}")
-    if report.total_estimate is not None:
-        print(f"total estimate   : {report.total_estimate:.6g}")
-    if report.dini_verdict is Verdict.INCONCLUSIVE:
+    print(f"convexity min    : {convexity_min:.6g}")
+    print(f"integral verdict : {dini.dini_verdict.value}")
+    print(f"analytic label   : {dini.analytic_label.value if dini.analytic_label else 'n/a'}")
+    if dini.total_estimate is not None:
+        print(f"total estimate   : {dini.total_estimate:.6g}")
+    if dini.dini_verdict is Verdict.INCONCLUSIVE:
         return EXIT_INCONCLUSIVE
-    if report.analytic_label and report.dini_verdict is not report.analytic_label:
+    if dini.analytic_label and dini.dini_verdict is not dini.analytic_label:
         print("MISMATCH between quadrature verdict and analytic label",
               file=sys.stderr)
         return EXIT_MISMATCH

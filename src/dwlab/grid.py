@@ -12,11 +12,9 @@ the gradient and, in `dwlab.linear`, the exact linear flow.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -32,9 +30,6 @@ __all__ = [
     "sobolev_norm",
     "hdot_norm",
     "gn_check",
-    "save_field",
-    "load_field",
-    "field_to_csv",
 ]
 
 
@@ -247,39 +242,3 @@ def gn_check(field, dimension=None):
         "grad_l2": grad_l2,
     }
 
-
-# -- field I/O --------------------------------------------------------
-
-
-def save_field(field, path, time=0.0):
-    """Write little-endian float64 row-major data plus a text sidecar."""
-    path = Path(path)
-    field.values.astype("<f8").tofile(path)
-    spec = field.spec
-    header = (f"n={spec.dimension}\nN={spec.points}\n"
-              f"L={spec.half_length!r}\nt={float(time)!r}\n")
-    path.with_suffix(path.suffix + ".hdr").write_text(header)
-
-
-def load_field(path):
-    """Inverse of save_field; returns (GridField, time)."""
-    path = Path(path)
-    meta = {}
-    for line in path.with_suffix(path.suffix + ".hdr").read_text().splitlines():
-        key, _, value = line.partition("=")
-        meta[key.strip()] = value.strip()
-    spec = GridSpec(int(meta["n"]), float(meta["L"]), int(meta["N"]))
-    values = np.fromfile(path, dtype="<f8").reshape(spec.shape)
-    return GridField(spec, values), float(meta["t"])
-
-
-def field_to_csv(field, path, time=0.0):
-    """CSV export for 1-d fields (x, u columns)."""
-    if field.spec.dimension != 1:
-        raise GridError("CSV export is for 1-d slices only")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", time])
-        writer.writerow(["x", "u"])
-        for x, u in zip(field.spec.axis(), field.values):
-            writer.writerow([repr(float(x)), repr(float(u))])

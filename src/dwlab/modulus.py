@@ -39,7 +39,7 @@ __all__ = [
     "ModulusError",
     "Nonlinearity",
     "PowerForcing",
-    "ConditionReport",
+    "DiniResult",
     "catalog_make",
     "parse_modulus_spec",
     "parse_forcing_spec",
@@ -136,7 +136,12 @@ class Modulus:
         if self.kind is Kind.ITERLOG:
             return self._iterlog_deriv(s, k)
         if self.kind is Kind.CUSTOM:
-            return _finite_difference(self._raw, s, k)
+            # piecewise linear: the slope of the segment holding s, at a knot
+            # the left one, and no curvature
+            if k == 2:
+                return np.zeros_like(s, dtype=float)
+            slopes = np.diff(self.table_mu) / np.diff(self.table_s)
+            return slopes[np.searchsorted(self.table_s, s) - 1]
         raise ModulusError(f"unknown kind {self.kind}")
 
     def _iterlog_deriv(self, s, k):
@@ -218,9 +223,10 @@ class Modulus:
         amplifies rounding by h^-2), while this chain still verifies that
         mu'' is the derivative of mu' and mu' the derivative of mu.
         """
-        if k == 1:
-            return _finite_difference(self.eval, s, 1)
         s = np.asarray(s, dtype=float)
+        if k == 1:
+            h = np.maximum(1e-6 * np.abs(s), 1e-12)
+            return (self.eval(s + h) - self.eval(s - h)) / (2.0 * h)
         h = np.maximum(1e-4 * np.abs(s), 1e-12)
         return (self.deriv(s + h, 1) - self.deriv(s - h, 1)) / (2.0 * h)
 
@@ -256,14 +262,6 @@ class Modulus:
         if self.kind in (Kind.INVLOG, Kind.ITERLOG) and (~deep).any():
             out[~deep] = self.eval(np.exp(-w[~deep]))
         return out[0] if scalar else out
-
-
-def _finite_difference(f, s, k):
-    s = np.asarray(s, dtype=float)
-    h = np.maximum(1e-6 * np.abs(s), 1e-12)
-    if k == 1:
-        return (f(s + h) - f(s - h)) / (2.0 * h)
-    return (f(s + h) - 2.0 * f(s) + f(s - h)) / h ** 2
 
 
 # -- catalog construction ---------------------------------------------
@@ -329,13 +327,15 @@ def catalog_make(kind, p=None, depth=None):
 def load_custom_modulus(path):
     """Load a whitespace-separated two-column (s, mu) table.
 
-    The table must start at (0, 0), be monotone, and be concave: its
-    secant slopes may not increase (up to relative round-off in the
-    tabulated values), as a modulus of continuity requires.
+    The table must be finite, start at (0, 0), be monotone, and be
+    concave: its secant slopes may not increase (up to relative round-off
+    in the tabulated values), as a modulus of continuity requires.
     """
     data = np.loadtxt(path, dtype=float)
     if data.ndim != 2 or data.shape[1] != 2:
         raise ModulusError(f"custom modulus table must have two columns: {path}")
+    if not np.all(np.isfinite(data)):
+        raise ModulusError(f"custom modulus table has non-finite entries: {path}")
     s, mu = data[:, 0], data[:, 1]
     if s[0] != 0.0 or mu[0] != 0.0:
         raise ModulusError("custom modulus table must start at (0, 0)")
@@ -443,23 +443,9 @@ class PowerForcing:
 # -- condition checkers -----------------------------------------------
 
 
-@dataclass
-class ConditionReport:
-    """Numerical evidence for the structural conditions on mu and h."""
-
-    max_ratio: dict = field(default_factory=dict)
-    dini_verdict: Verdict | None = None
-    dini_partial_sums: np.ndarray | None = None
-    convexity_min: float | None = None
-    analytic_label: Verdict | None = None
-    total_estimate: float | None = None
-    tail_estimate: float | None = None
-    fit: dict = field(default_factory=dict)
-    notes: list = field(default_factory=list)
-
-
 def check_slow_variation(modulus, s0=None, grid_size=400):
-    """Observed sup of s^k |mu^(k)(s)| / mu(s) over a log grid on (0, s0]."""
+    """Observed sup of s^k |mu^(k)(s)| / mu(s) over a log grid on (0, s0],
+    as ``{1: sup for k=1, 2: sup for k=2}``."""
     if s0 is None:
         s0 = min(modulus.continuation_point, 1e-1)
     if s0 <= 0:
@@ -470,11 +456,7 @@ def check_slow_variation(modulus, s0=None, grid_size=400):
     mu = modulus.eval(s)
     if np.any(mu <= 0):
         raise ModulusError("mu vanishes at an interior grid point")
-    report = ConditionReport(analytic_label=modulus.analytic_dini_label)
-    for k in (1, 2):
-        ratio = s ** k * np.abs(modulus.deriv(s, k)) / mu
-        report.max_ratio[k] = float(np.max(ratio))
-    return report
+    return {k: float(np.max(s ** k * np.abs(modulus.deriv(s, k)) / mu)) for k in (1, 2)}
 
 
 # QUADPACK's 21-point Gauss-Kronrod rule (dqk21, Piessens et al. 1983):
@@ -562,6 +544,29 @@ def _dini_shells(modulus, shells, base):
                            epsabs=1e-10, epsrel=1e-10, limit=200), w0
 
 
+@dataclass(frozen=True)
+class DiniResult:
+    """The Dini classifier's verdict, the catalog's analytic label (None
+    for custom tables), the dyadic shell integrals and, for a convergent
+    verdict, an estimate of the whole integral."""
+
+    dini_verdict: Verdict
+    analytic_label: Verdict | None
+    dini_partial_sums: np.ndarray = field(repr=False)
+    total_estimate: float | None = None
+
+
+def _beyond_boundary(c, band):
+    """Whether (c1, c2, c3) exceeds (1, 1, 1) lexicographically, a component
+    within ``band`` of 1 counting as equal to it."""
+    for ci in c:
+        if ci > 1.0 + band:
+            return True
+        if ci < 1.0 - band:
+            return False
+    return False
+
+
 def classify_dini(modulus, shells=240, base=0.01):
     """Heuristic convergence test for int_{C0}^inf mu(1/s)/s ds.
 
@@ -577,78 +582,50 @@ def classify_dini(modulus, shells=240, base=0.01):
     if not 0.0 < base < 1.0:
         raise ModulusError("base must lie in (0, 1)")
     S, w0 = _dini_shells(modulus, shells, base)
-    report = ConditionReport(dini_partial_sums=S, analytic_label=modulus.analytic_dini_label)
+
+    def result(verdict, total=None):
+        return DiniResult(verdict, modulus.analytic_dini_label, S, total)
+
     if np.any(~np.isfinite(S)) or np.any(S < -1e-12):
-        report.dini_verdict = Verdict.INCONCLUSIVE
-        report.notes.append("quadrature failure in shell integrals")
-        return report
+        return result(Verdict.INCONCLUSIVE)  # quadrature failure in the shells
 
     ln2 = math.log(2.0)
-    w_mid = w0 + (np.arange(shells) + 0.5) * ln2
     partial = float(np.sum(S))
-
     # underflow plateau: mu already negligible, series trivially summable
-    live = S > 1e-280
-    if not live[-1]:
-        last = int(np.nonzero(live)[0][-1]) if live.any() else 0
-        report.dini_verdict = Verdict.CONVERGENT
-        report.total_estimate = partial
-        report.tail_estimate = 0.0
-        report.notes.append(f"shells underflow to zero after k={last}")
-        return report
+    if not S[-1] > 1e-280:
+        return result(Verdict.CONVERGENT, partial)
 
     half = shells // 2
     ratios = S[half + 1:] / S[half:-1]
     med = float(np.median(ratios))
-    report.fit["median_ratio"] = med
-
     if med < 0.9 and float(np.max(ratios)) < 0.95:
         r = float(S[-1] / S[-2])
-        report.dini_verdict = Verdict.CONVERGENT
-        report.tail_estimate = float(S[-1] * r / (1.0 - r))
-        report.total_estimate = partial + report.tail_estimate
-        report.fit["mode"] = "geometric"
-        return report
-
+        return result(Verdict.CONVERGENT, partial + float(S[-1] * r / (1.0 - r)))
     if med > 1.0 + 1e-9:
-        report.dini_verdict = Verdict.DIVERGENT
-        report.fit["mode"] = "growing"
-        return report
+        return result(Verdict.DIVERGENT)
 
     # Bertrand regime: ln S = ln A - c1 ln w - c2 ln ln w - c3 ln ln ln w
-    lo = shells // 4
-    k_fit = slice(lo, shells)
-    y = np.log(S[k_fit])
-    w_fit = w_mid[k_fit]
+    w_fit = w0 + (np.arange(shells // 4, shells) + 0.5) * ln2
+    y = np.log(S[shells // 4:])
     X = np.column_stack([np.ones_like(w_fit), np.log(w_fit),
                          np.log(np.log(w_fit)), np.log(np.log(np.log(w_fit)))])
     coef, *_ = np.linalg.lstsq(X, y, rcond=None)
-    resid = y - X @ coef
-    rms = float(np.sqrt(np.mean(resid ** 2)))
+    rms = float(np.sqrt(np.mean((y - X @ coef) ** 2)))
     lnA = float(coef[0])
-    c = [float(-v) for v in coef[1:]]
-    report.fit.update(mode="powerlog", c1=c[0], c2=c[1], c3=c[2], lnA=lnA, rms_residual=rms)
-    if not all(np.isfinite(v) for v in c) or rms > 0.1:
-        report.dini_verdict = Verdict.INCONCLUSIVE
-        report.notes.append("shell model fit failed")
-        return report
-    convergent = False
-    for ci in c:  # lexicographic comparison against the p-series boundary
-        if ci > 1.1:
-            convergent = True
-            break
-        if ci < 0.9:
-            break
-    report.dini_verdict = Verdict.CONVERGENT if convergent else Verdict.DIVERGENT
-    if convergent:
-        def model(w):
-            return np.exp(lnA) * w ** (-c[0]) * np.log(w) ** (-c[1]) * np.log(np.log(w)) ** (-c[2])
-
-        w_tail = w0 + (np.arange(shells, shells + 2_000_000) + 0.5) * ln2
-        scale = S[-1] / model(w_mid[-1])
-        report.tail_estimate = float(scale * np.sum(model(w_tail)))
-        report.total_estimate = partial + report.tail_estimate
-    return report
+    c1, c2, c3 = (float(-v) for v in coef[1:])
+    if not all(np.isfinite(v) for v in (c1, c2, c3)) or rms > 0.1:
+        return result(Verdict.INCONCLUSIVE)  # the shell model does not fit
+    if not _beyond_boundary((c1, c2, c3), 0.1):
+        return result(Verdict.DIVERGENT)
+    if not _beyond_boundary((c1, c2, c3), 0.0):
+        # convergent within the band, but the fitted model's tail diverges
+        return result(Verdict.CONVERGENT)
+    # The shells sample the model at spacing ln 2 in w, so the tail of the
+    # series is (1/ln 2) times the model's integral past the last shell,
+    # taken in x = log w where the integrand is a power-log decay.
+    tail, _ = quad(lambda x: math.exp(lnA + (1.0 - c1) * x) * x ** -c2 * math.log(x) ** -c3,
+                   math.log(w0 + shells * ln2), math.inf)
+    return result(Verdict.CONVERGENT, partial + tail / ln2)
 
 
 def check_h_convexity(nonlinearity, interval=None, grid_size=400):
@@ -670,6 +647,4 @@ def check_h_convexity(nonlinearity, interval=None, grid_size=400):
     bracket = (two_n * (1.0 + two_n) * mu.eval(s)
                + 2.0 * (1.0 + two_n) * s * mu.deriv(s, 1)
                + s ** 2 * mu.deriv(s, 2))
-    report = ConditionReport(analytic_label=mu.analytic_dini_label)
-    report.convexity_min = float(np.min(bracket))
-    return report
+    return float(np.min(bracket))

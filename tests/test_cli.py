@@ -59,7 +59,8 @@ def test_missing_config_file_is_usage_error(capsys):
 _USER_ERRORS = [
     pytest.param(command, {"modulus": spec}, "", id=f"{spec}-{command}")
     for command in ("classify", "run", "certificate")
-    for spec in ("custom:{tmp}/missing.txt", "custom:{tmp}/convex.txt", "oracle:p=2")
+    for spec in ("custom:{tmp}/missing.txt", "custom:{tmp}/convex.txt",
+                 "custom:{tmp}/nan.txt", "oracle:p=2")
 ] + [
     # NaN compares false with every bound, so each check must be written lo < x < inf
     pytest.param(command, {key: "nan"}, "", id=f"{key}=nan-{command}")
@@ -77,6 +78,7 @@ _USER_ERRORS = [
 @pytest.mark.parametrize("command, overrides, named", _USER_ERRORS)
 def test_user_errors_are_one_line(tmp_path, capsys, command, overrides, named):
     (tmp_path / "convex.txt").write_text("0 0\n0.5 0.1\n1 1\n")
+    (tmp_path / "nan.txt").write_text("0 0\n0.1 nan\n1 1\n")
     cfg = dict(dimension=1, L=64.0, N=512, t_max=5.0, R=16.0, dt=0.05, width=2.0,
                modulus="invlog:p=2")
     cfg.update({key: value.format(tmp=tmp_path) for key, value in overrides.items()})

@@ -1,4 +1,4 @@
-"""Tests for grid construction, spectral calculus, norms and field I/O."""
+"""Tests for grid construction, spectral calculus and norms."""
 
 import math
 
@@ -13,12 +13,9 @@ from dwlab.grid import (
     GridField,
     GridSpec,
     WaveState,
-    field_to_csv,
     gn_check,
     hdot_norm,
-    load_field,
     lp_norm,
-    save_field,
     sobolev_norm,
     spectral_gradient,
 )
@@ -232,7 +229,7 @@ def test_gn_rejects_zero_field():
         gn_check(GridField.zeros(spec))
 
 
-# -- states and I/O ---------------------------------------------------
+# -- states ----------------------------------------------------------
 
 
 def test_wave_state_invariants():
@@ -242,29 +239,6 @@ def test_wave_state_invariants():
         WaveState(0.0, GridField.zeros(spec), GridField.zeros(other))
     with pytest.raises(GridError):
         WaveState(-1.0, GridField.zeros(spec), GridField.zeros(spec))
-
-
-def test_field_roundtrip(tmp_path):
-    rng = np.random.default_rng(13)
-    spec = GridSpec(2, 3.0, 32)
-    f = GridField(spec, rng.standard_normal(spec.shape))
-    path = tmp_path / "field.bin"
-    save_field(f, path, time=1.5)
-    loaded, t = load_field(path)
-    assert t == 1.5
-    assert loaded.spec == spec
-    assert np.array_equal(loaded.values, f.values)
-
-
-def test_csv_export_1d_only(tmp_path):
-    spec = GridSpec(1, 1.0, 32)
-    f = GridField.zeros(spec)
-    out = tmp_path / "u.csv"
-    field_to_csv(f, out)
-    assert out.read_text().count("\n") == 34  # header rows + 32 samples
-    spec2 = GridSpec(2, 1.0, 16)
-    with pytest.raises(GridError):
-        field_to_csv(GridField.zeros(spec2), tmp_path / "bad.csv")
 
 
 @settings(max_examples=30, deadline=None)

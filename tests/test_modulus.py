@@ -2,6 +2,7 @@
 
 import math
 import time
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -160,21 +161,21 @@ def test_power_eval_property(p, s):
 
 
 def test_slow_variation_power_exact_ratio():
-    report = check_slow_variation(catalog_make("power", p=0.5))
-    assert report.max_ratio[1] == pytest.approx(0.5, rel=1e-12)
+    ratios = check_slow_variation(catalog_make("power", p=0.5))
+    assert ratios[1] == pytest.approx(0.5, rel=1e-12)
 
 
 def test_slow_variation_invlog_ratio_decays():
     mu = catalog_make("invlog", p=2.0)
-    shallow = check_slow_variation(mu, s0=1e-2).max_ratio[1]
-    deep = check_slow_variation(mu, s0=1e-8).max_ratio[1]
+    shallow = check_slow_variation(mu, s0=1e-2)[1]
+    deep = check_slow_variation(mu, s0=1e-8)[1]
     # ratio = p/log(1/s): extending the grid toward 0 lowers the observed max
     assert deep < shallow <= 2.0 / math.log(100.0) + 1e-9
 
 
 def test_slow_variation_logplus_bounded_by_one():
-    report = check_slow_variation(catalog_make("logplus", p=1.0), s0=1.0)
-    assert report.max_ratio[1] <= 1.0 + 1e-12
+    ratios = check_slow_variation(catalog_make("logplus", p=1.0), s0=1.0)
+    assert ratios[1] <= 1.0 + 1e-12
 
 
 # -- Dini classification ----------------------------------------------
@@ -183,22 +184,65 @@ def test_slow_variation_logplus_bounded_by_one():
 def test_classifier_matches_catalog_labels():
     start = time.perf_counter()
     for mu in _entries():
-        report = classify_dini(mu)
-        assert report.dini_verdict is mu.analytic_dini_label, mu.kind
+        result = classify_dini(mu)
+        assert result.dini_verdict is mu.analytic_dini_label, mu.kind
     assert time.perf_counter() - start < 10.0
 
 
 def test_classifier_tail_matches_closed_form():
     # For (log 1/s)^-p the integral of mu(t)/t on (0, a] is
     # (p-1)^-1 (log 1/a)^{1-p}; with p=2, a=0.01 that is 1/log(100).
-    report = classify_dini(catalog_make("invlog", p=2.0), base=0.01)
+    result = classify_dini(catalog_make("invlog", p=2.0), base=0.01)
     expected = 1.0 / math.log(100.0)
-    assert report.total_estimate == pytest.approx(expected, rel=1e-3)
+    assert result.total_estimate == pytest.approx(expected, rel=1e-3)
+
+
+@pytest.mark.parametrize("p", [1.2, 1.5, 2.0, 3.0])
+def test_classifier_total_invlog_closed_form(p):
+    # near p = 1 the tail past the last shell is most of the integral, so
+    # a truncated tail sum is too small here (by 8% at p = 1.2)
+    result = classify_dini(catalog_make("invlog", p=p), base=0.01)
+    expected = math.log(100.0) ** (1.0 - p) / (p - 1.0)
+    assert result.total_estimate == pytest.approx(expected, rel=5e-4)
+
+
+def test_classifier_total_iterlog_exact():
+    # mu(e^-w) is the linear continuation on [log 100, w*] and
+    # 1 / (w (log w)^2) beyond, whose integral is 1 / log w*.
+    mu = catalog_make("iterlog", p=2.0, depth=1)
+    w0, w_star = math.log(100.0), -math.log(mu.continuation_point)
+    head, _ = quad(mu.eval_neglog, w0, w_star, epsabs=1e-13, epsrel=1e-12)
+    expected = head + 1.0 / math.log(w_star)
+    assert expected == pytest.approx(0.6548, abs=1e-4)
+    assert classify_dini(mu).total_estimate == pytest.approx(expected, rel=1e-2)
+
+
+def test_classifier_gives_no_total_for_a_diverging_model(monkeypatch):
+    # c1 = 0.95 is on the boundary band and c2 = 2 makes the verdict
+    # convergent, but the fitted model's own tail integral diverges
+    w0, ln2 = math.log(100.0), math.log(2.0)
+    w = w0 + (np.arange(240) + 0.5) * ln2
+    shells = w ** -0.95 * np.log(w) ** -2.0
+    monkeypatch.setattr(modulus_module, "_dini_shells", lambda *args: (shells, w0))
+    result = classify_dini(catalog_make("invlog", p=2.0))
+    assert result.dini_verdict is Verdict.CONVERGENT
+    assert result.total_estimate is None
+
+
+def test_classifier_memory_stays_small():
+    mu = catalog_make("invlog", p=2.0)
+    tracemalloc.start()
+    try:
+        classify_dini(mu)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 def test_classifier_divergent_partial_sums_grow():
-    report = classify_dini(catalog_make("invlog", p=1.0))
-    shells = report.dini_partial_sums
+    result = classify_dini(catalog_make("invlog", p=1.0))
+    shells = result.dini_partial_sums
     running = np.cumsum(shells)
     # S_k ~ log(2)/k, so the running sum keeps growing like log k
     assert running[-1] > 1.2 * running[len(running) // 4]
@@ -267,8 +311,7 @@ def test_h_eval_invlog_against_mpmath():
 
 def test_h_convexity_power_cubic():
     # n=2, mu(s)=s: h(s)=s^3 with h'' = 6s > 0.
-    report = check_h_convexity(Nonlinearity(catalog_make("power", p=1.0), 2))
-    assert report.convexity_min >= 0.0
+    assert check_h_convexity(Nonlinearity(catalog_make("power", p=1.0), 2)) >= 0.0
 
 
 def test_h_convexity_invlog_bracket_limit():
@@ -279,14 +322,13 @@ def test_h_convexity_invlog_bracket_limit():
         bracket = (2.0 * 3.0 * mu.eval(s) + 2.0 * 3.0 * s * mu.deriv(s, 1)
                    + s ** 2 * mu.deriv(s, 2))
         assert bracket / (6.0 * mu.eval(s)) == pytest.approx(1.0, abs=tol)
-    report = check_h_convexity(nl)
-    assert report.convexity_min >= -1e-10
+    assert check_h_convexity(nl) >= -1e-10
 
 
 def test_h_convexity_logplus():
-    report = check_h_convexity(Nonlinearity(catalog_make("logplus", p=1.0), 2),
-                               interval=(1e-8, 1.0))
-    assert report.convexity_min >= -1e-10
+    convexity_min = check_h_convexity(Nonlinearity(catalog_make("logplus", p=1.0), 2),
+                                      interval=(1e-8, 1.0))
+    assert convexity_min >= -1e-10
 
 
 def test_power_forcing_oracle():
@@ -321,6 +363,27 @@ def test_custom_table_modulus(tmp_path):
     assert mu(0.25) == pytest.approx(0.5, rel=1e-3)
     mid = mu.deriv_fd(0.25, 1)
     assert mid == pytest.approx(1.0, rel=1e-2)
+
+
+def test_custom_table_derivatives_are_segment_slopes(tmp_path):
+    table = tmp_path / "table.txt"
+    table.write_text("0 0\n0.1 0.2\n0.5 0.6\n1.0 0.8\n")
+    mu = load_custom_modulus(table)
+    # inside segments, at the knots (the left segment's slope) and past the table
+    s = np.array([0.05, 0.1, 0.3, 0.5, 0.7, 1.0, 2.0])
+    np.testing.assert_allclose(mu.deriv(s, 1), [2.0, 2.0, 1.0, 1.0, 0.4, 0.4, 0.4],
+                               rtol=1e-12)
+    assert np.all(mu.deriv(s, 2) == 0.0)
+    # the continuation keeps the last value and slope
+    assert mu(2.0) == pytest.approx(1.2, rel=1e-12)
+
+
+@pytest.mark.parametrize("row", ["0.1 nan", "0.1 inf", "inf 1"])
+def test_custom_table_rejects_non_finite(tmp_path, row):
+    table = tmp_path / "bad.txt"
+    table.write_text(f"0 0\n0.05 0.1\n{row}\n")
+    with pytest.raises(ModulusError, match="non-finite"):
+        load_custom_modulus(table)
 
 
 def test_custom_table_must_be_concave(tmp_path):

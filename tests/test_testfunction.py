@@ -235,7 +235,7 @@ def test_jensen_variance_identity():
 
 def test_jensen_with_catalog_nonlinearity_and_weight():
     nl = Nonlinearity(catalog_make("invlog", p=1.0), 1)
-    assert check_h_convexity(nl).convexity_min >= -1e-10
+    assert check_h_convexity(nl) >= -1e-10
     rng = np.random.default_rng(8)
     values = rng.uniform(0.0, 0.04, size=400)
     weights = eta_star(np.linspace(0.45, 1.05, 400)) ** 1  # psi*-derived
