@@ -575,7 +575,8 @@ def classify_dini(modulus, shells=240, base=0.01):
     model A w^{-c1} (log w)^{-c2} (log log w)^{-c3} (w the shell
     abscissa), whose series converges iff (c1, c2, c3) exceeds (1, 1, 1)
     lexicographically.  Boundary fits are classified divergent, matching
-    the closed catalog; an Inconclusive verdict covers fit failures.
+    the closed catalog; an Inconclusive verdict covers fit failures and
+    moduli whose continuation point lies past the deepest shell.
     """
     if shells < 40:
         raise ModulusError("need at least 40 shells")
@@ -586,6 +587,10 @@ def classify_dini(modulus, shells=240, base=0.01):
     def result(verdict, total=None):
         return DiniResult(verdict, modulus.analytic_dini_label, S, total)
 
+    if modulus.continuation_point < base * 2.0 ** -shells:
+        # the deepest shell still lies in the linear continuation, so no
+        # shell sees the defining formula
+        return result(Verdict.INCONCLUSIVE)
     if np.any(~np.isfinite(S)) or np.any(S < -1e-12):
         return result(Verdict.INCONCLUSIVE)  # quadrature failure in the shells
 

@@ -9,7 +9,8 @@ the functionals
     I_R  = int_{Q_R} h(|u|) psi_R,      Q_R = [0,R] x {|x| <= sqrt(R)}
     y(r) = int_{Q_R} h(|u|) psi*_r,     Y(R) = int_0^R y(r) dr / r
 
-linked by an exact order-of-integration identity (the kernel K below),
+linked by an exact order-of-integration identity through the kernel
+K(z) = int_z^inf eta*(s)^{n+2} ds/s,
 the elementary bound Y(R) <= log(2) I_R, a calibrated pointwise bound on
 the wave operator applied to psi_R, and a generalized Jensen inequality.
 Together these yield a computable criterion: if the forcing is strong
@@ -24,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .modulus import Verdict, classify_dini, shell_integrals
 
@@ -39,7 +39,6 @@ __all__ = [
     "functional_ir",
     "functional_y",
     "functional_y_exchanged",
-    "kernel_k",
     "jensen_check",
     "blowup_certificate",
     "CertificateReport",
@@ -186,57 +185,70 @@ def weight_bound_constant(dimension, r0, grid_size=4001):
 
 
 # -- trajectory functionals -------------------------------------------
+#
+# psi_R and psi*_r vanish wherever q + t >= r (q = |x|^2, t >= 0), so the
+# sums below only touch grid points with q < r.  Skipped terms are exactly
+# zero: q >= r gives (q + t)/r >= 1 in IEEE arithmetic, where eta is 0.
 
 
 def _space_q(spec):
-    coords = spec.meshgrid()
-    return sum(c ** 2 for c in coords)
+    """|x|^2 at every grid point, flattened in grid order."""
+    return sum(c ** 2 for c in spec.meshgrid()).ravel()
 
 
-def _forcing_samples(trajectory, nonlinearity, horizon):
-    """(times, list of h(|u|) arrays) for samples with t <= horizon."""
+def _support_slices(spec, radii):
+    """q sorted ascending, the flat grid index of each sorted entry and, per
+    radius r, the number of points with q < r (the support slice q[:hi])."""
+    q = _space_q(spec)
+    order = np.argsort(q, kind="stable")
+    q = q[order]
+    return q, order, np.searchsorted(q, radii)
+
+
+def _forcing_samples(trajectory, nonlinearity, horizon, points):
+    """(times, h(|u|)) for the samples with t <= horizon, h taken only at the
+    flat grid indices ``points``: one (samples x points) array."""
     if not trajectory.u_samples:
         raise ValueError("trajectory carries no stored fields")
     times = trajectory.times
+    if times[0] < 0:
+        raise ValueError(f"trajectory starts at t={times[0]:g} < 0")
     if times[-1] < horizon - 1e-9:
         raise ValueError(
             f"trajectory ends at t={times[-1]:g} before the horizon {horizon:g}")
     keep = np.nonzero(times <= horizon + 1e-12)[0]
-    dens = [nonlinearity.h_eval(np.abs(trajectory.u_samples[i])) for i in keep]
-    return times[keep], dens
+    u = np.stack([np.take(trajectory.u_samples[i], points) for i in keep])
+    return times[keep], nonlinearity.h_eval(np.abs(u))
 
 
 def _time_trapezoid(times, values):
     return float(np.trapezoid(values, times)) if len(times) > 1 else 0.0
 
 
+def _radius_grid(r_grid):
+    """r_grid as floats, checked: 1-d, finite, positive, strictly increasing."""
+    r = np.asarray(r_grid, dtype=float)
+    if r.ndim != 1 or len(r) < 2 or not np.all(np.isfinite(r)) or r[0] <= 0 \
+            or np.any(np.diff(r) <= 0):
+        raise ValueError("r_grid must be a 1-d, finite, positive, strictly increasing "
+                         "grid with at least two entries")
+    return r
+
+
 def functional_ir(trajectory, nonlinearity, big_r):
     """I_R: the forcing density integrated against psi_R over Q_R."""
+    if not 0 < big_r < math.inf:
+        raise ValueError(f"R must be positive and finite, got {big_r}")
     spec = trajectory.spec
-    q_space = _space_q(spec)
-    times, dens = _forcing_samples(trajectory, nonlinearity, big_r)
-    power = spec.dimension + 2
-    slices = [float(np.sum(d * eta((q_space + t) / big_r) ** power)) * spec.cell
-              for t, d in zip(times, dens)]
-    return _time_trapezoid(times, np.asarray(slices))
+    q, order, hi = _support_slices(spec, big_r)
+    times, dens = _forcing_samples(trajectory, nonlinearity, big_r, order[:hi])
+    weight = eta((q[:hi] + times[:, None]) / big_r) ** (spec.dimension + 2)
+    return _time_trapezoid(times, np.sum(dens * weight, axis=1) * spec.cell)
 
 
-def kernel_k(z, dimension):
-    """K(z) = int_z^inf eta*(s)^{n+2} ds / s  (constant below 1/2, 0 past 1)."""
-    z = float(z)
-    if z >= 1.0:
-        return 0.0
-    lo = max(z, 0.5)
-    val, _ = quad(lambda s: eta_star(s) ** (dimension + 2) / s, lo, 1.0,
-                  epsabs=1e-13, epsrel=1e-13)
-    return val
-
-
-def _log_trapezoid_weights(r_grid):
-    """Trapezoid weights for int f(r) dr/r on an increasing positive grid."""
-    x = np.log(np.asarray(r_grid, dtype=float))
-    if x.ndim != 1 or len(x) < 2 or np.any(np.diff(x) <= 0):
-        raise ValueError("r_grid must be increasing with at least two entries")
+def _log_trapezoid_weights(r):
+    """Trapezoid weights for int f(r) dr/r on a checked radius grid."""
+    x = np.log(r)
     w = np.zeros_like(x)
     dx = np.diff(x)
     w[:-1] += 0.5 * dx
@@ -251,19 +263,22 @@ def functional_y(trajectory, nonlinearity, r_grid):
     final Y.  The grid should start low enough that y(r_grid[0]) = 0 --
     then the truncated integral int_0^R y dr/r loses nothing.
     """
+    r = _radius_grid(r_grid)
     spec = trajectory.spec
-    q_space = _space_q(spec)
-    times, dens = _forcing_samples(trajectory, nonlinearity, r_grid[-1])
+    q, order, hi = _support_slices(spec, r)
+    times, dens = _forcing_samples(trajectory, nonlinearity, r[-1], order[:hi[-1]])
+    # samples with t >= r lie outside the support as well
+    late = np.searchsorted(times, r)
     power = spec.dimension + 2
-    y = np.empty(len(r_grid))
-    for k, r in enumerate(r_grid):
-        slices = [float(np.sum(d * eta_star((q_space + t) / r) ** power)) * spec.cell
-                  for t, d in zip(times, dens)]
-        y[k] = _time_trapezoid(times, np.asarray(slices))
-    x = np.log(np.asarray(r_grid, dtype=float))
+    y = np.empty(len(r))
+    for k, (rk, m, n) in enumerate(zip(r, late, hi)):
+        slices = np.zeros(len(times))
+        weight = eta_star((q[:n] + times[:m, None]) / rk) ** power
+        slices[:m] = np.sum(dens[:m, :n] * weight, axis=1) * spec.cell
+        y[k] = _time_trapezoid(times, slices)
+    x = np.log(r)
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x))])
-    return {"r": np.asarray(r_grid, dtype=float), "y": y,
-            "Y_cum": cum, "Y": float(cum[-1])}
+    return {"r": r, "y": y, "Y_cum": cum, "Y": float(cum[-1])}
 
 
 def functional_y_exchanged(trajectory, nonlinearity, r_grid):
@@ -271,18 +286,22 @@ def functional_y_exchanged(trajectory, nonlinearity, r_grid):
 
     The r-sum is folded into a per-point kernel weight first, then the
     space-time quadrature is applied -- an independently coded path whose
-    agreement with `functional_y` validates the order exchange.
+    agreement with `functional_y` validates the order exchange.  It keeps
+    the points with q < max r by a grid-order mask of its own, not by the
+    sorted slices of `functional_y`, so the two can disagree.
     """
-    spec = trajectory.spec
-    q_space = _space_q(spec).ravel()
-    times, dens = _forcing_samples(trajectory, nonlinearity, r_grid[-1])
-    power = spec.dimension + 2
-    r = np.asarray(r_grid, dtype=float)
+    r = _radius_grid(r_grid)
     w = _log_trapezoid_weights(r)
+    spec = trajectory.spec
+    q_space = _space_q(spec)
+    inside = np.flatnonzero(q_space < r[-1])
+    times, dens = _forcing_samples(trajectory, nonlinearity, r[-1], inside)
+    q = q_space[inside]
+    power = spec.dimension + 2
     slices = np.empty(len(times))
-    for i, (t, d) in enumerate(zip(times, dens)):
-        kernel = eta_star((q_space[:, None] + t) / r[None, :]) ** power @ w
-        slices[i] = float(np.sum(d.ravel() * kernel)) * spec.cell
+    for i, t in enumerate(times):
+        kernel = eta_star((q[:, None] + t) / r[None, :]) ** power @ w
+        slices[i] = float(np.sum(dens[i] * kernel)) * spec.cell
     return _time_trapezoid(times, slices)
 
 

@@ -105,6 +105,14 @@ def test_classify_divergent_modulus(capsys):
     assert "Divergent" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("p", ["1", "2"])
+def test_classify_inconclusive_past_the_deepest_shell(capsys, p):
+    # iterlog depth 3 continues linearly down to w* ~ 190, past the
+    # deepest Dini shell (w ~ 171): no shell sees the defining formula
+    assert main(["classify", f"iterlog:p={p},depth=3"]) == 3
+    assert "integral verdict : Inconclusive" in capsys.readouterr().out
+
+
 def test_classify_rejects_bad_spec(capsys):
     assert main(["classify", "nosuch:p=1"]) == 1
     assert main(["classify"]) == 1

@@ -229,6 +229,17 @@ def test_classifier_gives_no_total_for_a_diverging_model(monkeypatch):
     assert result.total_estimate is None
 
 
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_classifier_inconclusive_when_every_shell_is_continuation(p):
+    # the continuation point w* ~ 190 lies past the deepest shell's end
+    # (w ~ 171), where the linear continuation is ~1e75
+    mu = catalog_make("iterlog", p=p, depth=3)
+    assert mu.continuation_point < 0.01 * 2.0 ** -240
+    result = classify_dini(mu)
+    assert result.dini_verdict is Verdict.INCONCLUSIVE
+    assert result.total_estimate is None
+
+
 def test_classifier_memory_stays_small():
     mu = catalog_make("invlog", p=2.0)
     tracemalloc.start()

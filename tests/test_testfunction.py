@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
 
+from dwlab import testfunction
 from dwlab.grid import GridSpec
 from dwlab.modulus import Nonlinearity, catalog_make, check_h_convexity
 from dwlab.semilinear import EvolveConfig, Trajectory, evolve, make_data
@@ -20,7 +21,6 @@ from dwlab.testfunction import (
     functional_y,
     functional_y_exchanged,
     jensen_check,
-    kernel_k,
     psi_weights,
     wave_operator_on_weight,
     weight_bound_constant,
@@ -180,6 +180,19 @@ def test_functional_ir_rejects_short_trajectory():
         functional_ir(traj, nl, 16.0)
 
 
+def test_functionals_reject_negative_times():
+    # the support slices rely on t >= 0
+    spec = GridSpec(1, 64.0, 512)
+    traj = _constant_trajectory(spec, 0.1, 16.0, 20)
+    traj.times = traj.times - 1.0
+    nl = Nonlinearity(catalog_make("power", p=1.0), 1)
+    for call in (lambda: functional_ir(traj, nl, 8.0),
+                 lambda: functional_y(traj, nl, [2.0, 8.0]),
+                 lambda: functional_y_exchanged(traj, nl, [2.0, 8.0])):
+        with pytest.raises(ValueError, match="< 0"):
+            call()
+
+
 def test_functional_ir_increases_with_r_on_blowup_class_run():
     spec = GridSpec(1, 128.0, 1024)
     nl = Nonlinearity(catalog_make("invlog", p=1.0), 1)
@@ -204,6 +217,16 @@ def test_functional_y_chain_on_trajectory():
         assert abs(rep["Y"] - swapped) <= 1e-6 * abs(swapped)
 
 
+def kernel_k(z, dimension):
+    """K(z) = int_z^inf eta*(s)^{n+2} ds / s  (constant below 1/2, 0 past 1)."""
+    z = float(z)
+    if z >= 1.0:
+        return 0.0
+    val, _ = quad(lambda s: eta_star(s) ** (dimension + 2) / s, max(z, 0.5), 1.0,
+                  epsabs=1e-13, epsrel=1e-13)
+    return val
+
+
 def test_kernel_pointwise_identity():
     # K(z) <= log(2) eta(z)^{n+2} at sample points (paper's kernel bound)
     for n in (1, 2):
@@ -213,6 +236,147 @@ def test_kernel_pointwise_identity():
     # plateau value equals the full annulus integral
     full, _ = quad(lambda s: eta_star(s) ** 3 / s, 0.5, 1.0)
     assert kernel_k(0.1, 1) == pytest.approx(full, rel=1e-10)
+
+
+# -- support slicing against the full-torus sums ----------------------
+
+
+def _full_torus(traj, nl, horizon):
+    """|x|^2, sample times and h(|u|) per sample, all on the whole torus."""
+    q = sum(c ** 2 for c in traj.spec.meshgrid())
+    keep = np.nonzero(traj.times <= horizon + 1e-12)[0]
+    return q, traj.times[keep], [nl.h_eval(np.abs(traj.u_samples[i])) for i in keep]
+
+
+def _trapezoid(times, values):
+    return float(np.trapezoid(values, times)) if len(times) > 1 else 0.0
+
+
+def _ir_full_torus(traj, nl, big_r):
+    q, times, dens = _full_torus(traj, nl, big_r)
+    power = traj.spec.dimension + 2
+    return _trapezoid(times, np.array([float(np.sum(d * eta((q + t) / big_r) ** power))
+                                       for t, d in zip(times, dens)]) * traj.spec.cell)
+
+
+def _y_full_torus(traj, nl, r_grid):
+    """(y, Y_cum) from one full-torus sum per (radius, sample)."""
+    q, times, dens = _full_torus(traj, nl, r_grid[-1])
+    power = traj.spec.dimension + 2
+    y = np.array([_trapezoid(times, np.array([
+        float(np.sum(d * eta_star((q + t) / r) ** power)) for t, d in zip(times, dens)])
+        * traj.spec.cell) for r in r_grid])
+    cum = np.concatenate([[0.0], np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(np.log(r_grid)))])
+    return y, cum
+
+
+def _y_exchanged_full_torus(traj, nl, r_grid):
+    q, times, dens = _full_torus(traj, nl, r_grid[-1])
+    power = traj.spec.dimension + 2
+    dx = np.diff(np.log(r_grid))
+    w = np.concatenate([0.5 * dx, [0.0]]) + np.concatenate([[0.0], 0.5 * dx])
+    slices = [float(np.sum(d.ravel() * (eta_star((q.ravel()[:, None] + t) / r_grid) ** power @ w)))
+              for t, d in zip(times, dens)]
+    return _trapezoid(times, np.array(slices) * traj.spec.cell)
+
+
+def _assert_matches_full_torus(traj, nl, r_grid, rtol):
+    for big_r in (r_grid[0], r_grid[len(r_grid) // 2], r_grid[-1]):
+        assert functional_ir(traj, nl, big_r) == pytest.approx(
+            _ir_full_torus(traj, nl, big_r), rel=rtol, abs=0.0)
+    rep = functional_y(traj, nl, r_grid)
+    y, cum = _y_full_torus(traj, nl, r_grid)
+    np.testing.assert_allclose(rep["y"], y, rtol=rtol, atol=0.0)
+    np.testing.assert_allclose(rep["Y_cum"], cum, rtol=rtol, atol=0.0)
+    assert functional_y_exchanged(traj, nl, r_grid) == pytest.approx(
+        _y_exchanged_full_torus(traj, nl, r_grid), rel=rtol, abs=0.0)
+
+
+@pytest.fixture(scope="module", params=[1, 2], ids=["1d", "2d"])
+def evolved(request):
+    n = request.param
+    spec = GridSpec(1, 128.0, 1024) if n == 1 else GridSpec(2, 48.0, 64)
+    nl = Nonlinearity(catalog_make("invlog", p=1.0), n)
+    cfg = EvolveConfig(grid=spec, nonlinearity=nl, data=make_data(spec, amplitude=2.0, width=2.0),
+                       dt=0.05, t_max=32.0, sample_stride=5, keep_fields=True)
+    return evolve(cfg), nl, np.geomspace(32.0 / 256.0, 32.0, 17)
+
+
+def test_support_sums_match_full_torus_on_evolved_trajectory(evolved):
+    traj, nl, r_grid = evolved
+    assert functional_y(traj, nl, r_grid)["Y"] > 0.0
+    _assert_matches_full_torus(traj, nl, r_grid, rtol=1e-13)
+
+
+# x = -8, ..., 7 and integer sample times: q + t hits r/2 exactly (eta* = 1
+# there, 0 just below), the last sorted point with q < r sits on that edge
+# at t = 0, and q = 9 = max r is the first point outside every support.
+_EDGE_RADII = np.array([2.0, 4.0, 8.0, 8.0 * (1.0 + 1e-9), 9.0])
+
+
+def _edge_trajectory(outside):
+    """Hand-built 1-d trajectory whose u is `outside` wherever q >= 9."""
+    spec = GridSpec(1, 8.0, 16)
+    x = spec.axis()
+    times = np.arange(10.0)
+    fields = [np.where(x * x < 9.0, 0.3 + 0.02 * x + 0.01 * t, outside) for t in times]
+    return Trajectory(spec=spec, times=times, norms={}, xnorm_running=np.zeros(len(times)),
+                      outcome="CompletedHorizon", t_est=math.inf,
+                      u_samples=fields, v_samples=fields)
+
+
+def test_support_slices_keep_both_edges():
+    # points past every support carry NaN: a slice that adds one poisons
+    # the sum, and one that drops an edge point loses a term of weight
+    # >= 1e-7 against the full-torus sums of the NaN-free copy
+    nl = Nonlinearity(catalog_make("power", p=1.0), 1)
+    traj, clean = _edge_trajectory(math.nan), _edge_trajectory(0.0)
+    assert eta_star(np.array([4.0 / 8.0, 4.0 / _EDGE_RADII[3]])).tolist() == [1.0, 0.0]
+    for big_r in _EDGE_RADII:
+        assert functional_ir(traj, nl, big_r) == pytest.approx(
+            _ir_full_torus(clean, nl, big_r), rel=1e-13, abs=0.0)
+    rep = functional_y(traj, nl, _EDGE_RADII)
+    y, cum = _y_full_torus(clean, nl, _EDGE_RADII)
+    np.testing.assert_allclose(rep["y"], y, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(rep["Y_cum"], cum, rtol=1e-13, atol=0.0)
+    assert functional_y_exchanged(traj, nl, _EDGE_RADII) == pytest.approx(
+        _y_exchanged_full_torus(clean, nl, _EDGE_RADII), rel=1e-13, abs=0.0)
+
+
+def test_exchanged_path_catches_a_dropped_support_point(monkeypatch):
+    nl = Nonlinearity(catalog_make("power", p=1.0), 1)
+    traj = _edge_trajectory(0.0)
+    honest = testfunction._support_slices
+
+    def drop_last(spec, radii):
+        q, order, hi = honest(spec, radii)
+        return q, order, hi - 1
+
+    monkeypatch.setattr(testfunction, "_support_slices", drop_last)
+    y = functional_y(traj, nl, _EDGE_RADII)["Y"]
+    swapped = functional_y_exchanged(traj, nl, _EDGE_RADII)
+    assert abs(y - swapped) > 1e-6 * abs(swapped)
+
+
+def test_functional_ir_rejects_bad_radius():
+    traj = _constant_trajectory(GridSpec(1, 64.0, 512), 0.1, 16.0, 20)
+    nl = Nonlinearity(catalog_make("power", p=1.0), 1)
+    for big_r in (math.nan, -4.0, 0.0, math.inf):
+        with pytest.raises(ValueError, match="^R must be positive and finite") as err:
+            functional_ir(traj, nl, big_r)
+        assert "\n" not in str(err.value)
+
+
+@pytest.mark.parametrize("functional", [functional_y, functional_y_exchanged])
+@pytest.mark.parametrize("r_grid", [[1.0, math.nan, 8.0], [8.0, 4.0, 2.0], [2.0, 2.0, 8.0],
+                                    [0.0, 4.0, 8.0], [-1.0, 4.0, 8.0], [2.0, 4.0, math.inf],
+                                    [[1.0, 2.0], [4.0, 8.0]], [8.0]], ids=str)
+def test_functional_y_rejects_bad_radius_grid(functional, r_grid):
+    traj = _constant_trajectory(GridSpec(1, 64.0, 512), 0.1, 16.0, 20)
+    nl = Nonlinearity(catalog_make("power", p=1.0), 1)
+    with pytest.raises(ValueError, match="^r_grid must be") as err:
+        functional(traj, nl, r_grid)
+    assert "\n" not in str(err.value)
 
 
 # -- Jensen -----------------------------------------------------------
