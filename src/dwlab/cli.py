@@ -61,12 +61,18 @@ def config_hash(cfg):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+_CAST_NAMES = {int: "an integer", float: "a number"}
+
+
 def _get(cfg, key, cast, default):
     if key not in cfg:
         if default is None:
             raise ValueError(f"missing required config key {key!r}")
         return default
-    return cast(cfg[key])
+    try:
+        return cast(cfg[key])
+    except ValueError:
+        raise ValueError(f"{key} must be {_CAST_NAMES[cast]}, got {cfg[key]!r}") from None
 
 
 def _float_list(text):
@@ -239,8 +245,7 @@ def _single_run(cfg):
     run_cfg = EvolveConfig(
         grid=spec, nonlinearity=forcing, data=data,
         dt=_get(cfg, "dt", float, 0.05), t_max=t_max,
-        sample_stride=_get(cfg, "sample_stride", int, 20),
-        keep_fields=_get(cfg, "keep_fields", int, 0) == 1)
+        sample_stride=_get(cfg, "sample_stride", int, 20), keep_fields=False)
     traj = evolve(run_cfg)
     result = {
         "config_hash": config_hash(cfg),

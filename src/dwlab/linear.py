@@ -15,8 +15,8 @@ derivatives follow from the exact identities dK0 = -|xi|^2 K1 and
 dK1 = K0 - K1.
 
 The flow runs on the grid's rfft half-spectrum (`dwlab.grid.half_spectrum`):
-a `Propagator` per grid adds the multipliers of the last two step sizes,
-and `linear_norm_series` advances the spectra from sample to sample.
+`propagate` keeps the multipliers of the last few (grid, dt) pairs, and
+`linear_norm_series` advances the spectra from sample to sample.
 """
 
 from __future__ import annotations
@@ -30,8 +30,6 @@ import numpy as np
 from .grid import GridField, WaveState, half_spectrum, lp_norm
 
 __all__ = [
-    "Propagator",
-    "propagator",
     "multipliers",
     "propagate",
     "linear_norm_series",
@@ -98,49 +96,18 @@ def multipliers(xi_sq, t):
     return K0, K1, -xi_sq * K1, dK1
 
 
-class Propagator:
-    """The exact linear flow on one grid's half-spectrum.
-
-    Holds the multipliers of the last two step sizes used (a split-step
-    run alternates between its step and the odd step clipped to a sample
-    time).  Cached multipliers are read-only.  Get one per grid from
-    `propagator(spec)`.
-    """
-
-    CACHED_STEPS = 2
-
-    def __init__(self, spec):
-        self.half = half_spectrum(spec)
-        self._cache = {}  # dt -> (K0, K1, dK0, dK1), least recently used first
-
-    def multipliers(self, dt):
-        """(K0, K1, dK0, dK1) over dt on the half-spectrum, built once per dt."""
-        found = self._cache.pop(dt, None)
-        if found is None:
-            found = multipliers(self.half.xi_sq, dt)
-            for array in found:
-                array.flags.writeable = False
-            if len(self._cache) >= self.CACHED_STEPS:
-                del self._cache[next(iter(self._cache))]
-        self._cache[dt] = found
-        return found
-
-    def flow(self, u, v, dt):
-        """Arrays (u, v) carried exactly over dt by the linear flow."""
-        K0, K1, dK0, dK1 = self.multipliers(dt)
-        half = self.half
-        u_hat, v_hat = half.forward(u), half.forward(v)
-        return half.inverse(K0 * u_hat + K1 * v_hat), half.inverse(dK0 * u_hat + dK1 * v_hat)
-
-
 @functools.lru_cache(maxsize=4)
-def propagator(spec):
-    """The shared `Propagator` of a grid.
+def _flow_multipliers(spec, dt):
+    """Read-only (K0, K1, dK0, dK1) over dt on the grid's half-spectrum.
 
-    Sharing is safe because everything it caches is a function of the
-    grid and dt alone; four grids cover a run plus its cross-checks.
+    Everything cached is a function of the grid and dt alone.  Four
+    entries hold a split-step run's step and the odd step clipped to a
+    sample time, plus a cross-check on a second grid.
     """
-    return Propagator(spec)
+    found = multipliers(half_spectrum(spec).xi_sq, dt)
+    for array in found:
+        array.flags.writeable = False
+    return found
 
 
 def propagate(state, dt):
@@ -152,8 +119,11 @@ def propagate(state, dt):
     if dt == 0.0:
         return state.copy()
     spec = state.spec
-    u_new, v_new = propagator(spec).flow(state.u.values, state.v.values, dt)
-    out = WaveState(state.time + dt, GridField(spec, u_new), GridField(spec, v_new))
+    K0, K1, dK0, dK1 = _flow_multipliers(spec, dt)
+    half = half_spectrum(spec)
+    u_hat, v_hat = half.forward(state.u.values), half.forward(state.v.values)
+    out = WaveState(state.time + dt, GridField(spec, half.inverse(K0 * u_hat + K1 * v_hat)),
+                    GridField(spec, half.inverse(dK0 * u_hat + dK1 * v_hat)))
     if not (out.u.is_finite() and out.v.is_finite()):
         raise ValueError(f"linear flow over dt={dt} produced a non-finite state")
     return out

@@ -43,7 +43,6 @@ __all__ = [
     "catalog_make",
     "parse_modulus_spec",
     "parse_forcing_spec",
-    "format_modulus_spec",
     "load_custom_modulus",
     "check_slow_variation",
     "shell_integrals",
@@ -214,22 +213,6 @@ class Modulus:
             out[outer] = self._raw_deriv(sst, 1) if k == 1 else 0.0
         return out[0] if scalar else out
 
-    def deriv_fd(self, s, k):
-        """Finite-difference cross-check of `deriv`.
-
-        Order 1 differences `eval` directly.  Order 2 differences the
-        analytic first derivative: differencing `eval` twice cannot reach
-        1e-6 relative accuracy near s = 0 in double precision (the stencil
-        amplifies rounding by h^-2), while this chain still verifies that
-        mu'' is the derivative of mu' and mu' the derivative of mu.
-        """
-        s = np.asarray(s, dtype=float)
-        if k == 1:
-            h = np.maximum(1e-6 * np.abs(s), 1e-12)
-            return (self.eval(s + h) - self.eval(s - h)) / (2.0 * h)
-        h = np.maximum(1e-4 * np.abs(s), 1e-12)
-        return (self.deriv(s + h, 1) - self.deriv(s - h, 1)) / (2.0 * h)
-
     def eval_neglog(self, w):
         """Evaluate mu(exp(-w)) without forming exp(-w).
 
@@ -392,13 +375,6 @@ def parse_forcing_spec(text, dimension):
                               ("q",), required=("q",))
         return PowerForcing(params["q"])
     return Nonlinearity(parse_modulus_spec(text), dimension)
-
-
-def format_modulus_spec(modulus):
-    if modulus.kind is Kind.CUSTOM:
-        return "custom:<table>"
-    params = ",".join(f"{k}={v}" for k, v in sorted(modulus.params.items()))
-    return f"{modulus.kind.value}:{params}"
 
 
 # -- nonlinearity -----------------------------------------------------

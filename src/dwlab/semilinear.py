@@ -161,8 +161,6 @@ def evolve(config):
 
     while state.time < config.t_max - 1e-12:
         dt_step = min(dt, config.t_max - state.time, next_sample - state.time)
-        if dt_step <= 0:
-            dt_step = min(dt, config.t_max - state.time)
         size_before = float(np.max(np.abs(state.u.values)) + np.max(np.abs(state.v.values)))
         try:
             candidate, h_candidate = step(state, h_u, dt_step, config.nonlinearity)
@@ -235,6 +233,8 @@ def picard_verify(config, window_T=1.0, iterations=4):
     """
     if iterations < 3:
         raise ValueError("need at least 3 iterations")
+    if not 0 < window_T < math.inf:
+        raise ValueError(f"window_T must be positive and finite, got {window_T}")
     spec = config.grid
     n = spec.dimension
     m = max(int(round(window_T / config.dt)), 4)

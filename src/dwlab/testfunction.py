@@ -94,7 +94,7 @@ def eta(s):
     out = np.where(s <= 0.5, 1.0, 0.0)
     mid = (s > 0.5) & (s < 1.0)
     if mid.any():
-        g1, g2, *_ = _pieces(s[mid])
+        g1, g2 = _flat(1.0 - s[mid]), _flat(s[mid] - 0.5)
         out[mid] = g1 / (g1 + g2)
     return out[0] if scalar else out
 

@@ -72,6 +72,11 @@ _USER_ERRORS = [
     pytest.param(command, {key: "nan"}, key, id=f"{key}=nan-{command}")
     for command, key in (("run", "amplitude"), ("linear", "amplitude"),
                          ("certificate", "amplitude"), ("run", "width"))
+] + [
+    # a value the key's type cannot parse is reported by its config key
+    pytest.param(command, {key: value}, key, id=f"{key}={value}-{command}")
+    for command, key, value in (("run", "sample_stride", "1.5"), ("linear", "N", "1e3"),
+                                ("certificate", "R", "abc"))
 ]
 
 

@@ -5,14 +5,16 @@ import math
 import numpy as np
 import pytest
 
+from dwlab import linear
 from dwlab.grid import GridField, GridSpec, WaveState, lp_norm
 from dwlab.linear import (
     decay_fit,
     linear_norm_series,
     multipliers,
     propagate,
-    propagator,
 )
+from dwlab.modulus import PowerForcing
+from dwlab.semilinear import EvolveConfig, Outcome, evolve, make_data
 
 
 def _psi_state(spec, width=2.0, derivative=False):
@@ -132,21 +134,67 @@ def _full_fft_propagate(state, dt):
             np.fft.ifftn(dK0 * u_hat + dK1 * v_hat).real)
 
 
-def test_propagate_half_spectrum_matches_full_fft():
+def _count_builds(monkeypatch):
+    """Record every multiplier set `propagate` builds (the list of results)."""
+    built = []
+
+    def counting(xi_sq, t):
+        built.append(multipliers(xi_sq, t))
+        return built[-1]
+
+    monkeypatch.setattr(linear, "multipliers", counting)
+    return built
+
+
+def test_propagate_half_spectrum_matches_full_fft(monkeypatch):
+    built = _count_builds(monkeypatch)
     for spec in (GridSpec(1, 32.0, 512), GridSpec(2, 16.0, 64)):
         state = _psi_state(spec)
         state = WaveState(0.0, GridField(spec, np.cos(spec.meshgrid()[0]) * state.v.values),
                           state.v)
-        cache = propagator(spec)._cache
-        # alternating step sizes, with a third one now and then, evict cached multipliers
+        del built[:]
+        # alternating step sizes, with a third one now and then: each is built once
         for dt in (0.05, 0.013, 0.05, 0.013, 0.7, 0.05, 0.7, 0.013, 0.05):
             u_ref, v_ref = _full_fft_propagate(state, dt)
             out = propagate(state, dt)
-            assert len(cache) <= 2
-            assert dt in cache
+            assert len(built) <= 3
             assert np.max(np.abs(out.u.values - u_ref)) <= 1e-13 * np.max(np.abs(u_ref))
             assert np.max(np.abs(out.v.values - v_ref)) <= 1e-13 * np.max(np.abs(v_ref))
             state = out
+
+
+def test_propagate_builds_multipliers_once_per_grid_and_dt(monkeypatch):
+    built = _count_builds(monkeypatch)
+    spec = GridSpec(1, 24.0, 256)  # a grid and dt no other test propagates on
+    state = _psi_state(spec)
+    first = propagate(state, 0.0371)
+    second = propagate(state, 0.0371)
+    assert len(built) == 1
+    assert np.array_equal(first.u.values, second.u.values)
+    assert np.array_equal(first.v.values, second.v.values)
+
+    del built[:]
+    dt, steps = 0.1875, 40  # a binary dt: no step is clipped to a sample time
+    cfg = EvolveConfig(grid=spec, nonlinearity=PowerForcing(3.0),
+                       data=make_data(spec, amplitude=0.1, width=2.0), dt=dt,
+                       t_max=steps * dt, sample_stride=8, keep_fields=False)
+    traj = evolve(cfg)
+    assert traj.outcome == Outcome.COMPLETED and traj.times[-1] == steps * dt
+    assert len(built) == 1
+
+
+def test_propagate_cached_multipliers_are_read_only(monkeypatch):
+    built = _count_builds(monkeypatch)
+    spec = GridSpec(1, 24.0, 256)
+    state = _psi_state(spec)
+    first = propagate(state, 0.0617)
+    for array in built[0]:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+    # the set that refused the writes is the one the next call reuses
+    second = propagate(state, 0.0617)
+    assert len(built) == 1
+    assert np.array_equal(first.u.values, second.u.values)
 
 
 def test_propagate_rejects_non_finite_state():

@@ -24,7 +24,6 @@ from dwlab.modulus import (
     check_h_convexity,
     check_slow_variation,
     classify_dini,
-    format_modulus_spec,
     load_custom_modulus,
     parse_forcing_spec,
     parse_modulus_spec,
@@ -44,6 +43,30 @@ CATALOG = [
 
 def _entries():
     return [catalog_make(kind, p=p, depth=depth) for kind, p, depth in CATALOG]
+
+
+def deriv_fd(mu, s, k):
+    """Finite-difference cross-check of `Modulus.deriv`.
+
+    Order 1 differences `eval` directly.  Order 2 differences the
+    analytic first derivative: differencing `eval` twice cannot reach
+    1e-6 relative accuracy near s = 0 in double precision (the stencil
+    amplifies rounding by h^-2), while this chain still verifies that
+    mu'' is the derivative of mu' and mu' the derivative of mu.
+    """
+    s = np.asarray(s, dtype=float)
+    if k == 1:
+        h = np.maximum(1e-6 * np.abs(s), 1e-12)
+        return (mu.eval(s + h) - mu.eval(s - h)) / (2.0 * h)
+    h = np.maximum(1e-4 * np.abs(s), 1e-12)
+    return (mu.deriv(s + h, 1) - mu.deriv(s - h, 1)) / (2.0 * h)
+
+
+def format_modulus_spec(modulus):
+    if modulus.kind is Kind.CUSTOM:
+        return "custom:<table>"
+    params = ",".join(f"{k}={v}" for k, v in sorted(modulus.params.items()))
+    return f"{modulus.kind.value}:{params}"
 
 
 # -- evaluation against closed forms ----------------------------------
@@ -115,10 +138,10 @@ def test_deriv_matches_finite_difference(kind, p, depth):
     top = min(mu.continuation_point, 0.9)
     s = np.geomspace(1e-6, top * 0.999, 60)
     ana1 = mu.deriv(s, 1)
-    fd1 = mu.deriv_fd(s, 1)
+    fd1 = deriv_fd(mu, s, 1)
     assert np.max(np.abs(ana1 - fd1) / np.abs(ana1)) < 1e-6
     ana2 = mu.deriv(s, 2)
-    fd2 = mu.deriv_fd(s, 2)
+    fd2 = deriv_fd(mu, s, 2)
     # near an isolated zero of mu'' a relative test is meaningless; allow
     # an absolute floor at the natural scale mu/s^2.
     scale = np.abs(ana2) + 1e-4 * mu.eval(s) / s ** 2
@@ -372,7 +395,7 @@ def test_custom_table_modulus(tmp_path):
     table.write_text("\n".join(f"{a} {math.sqrt(a)}" for a in s))
     mu = load_custom_modulus(table)
     assert mu(0.25) == pytest.approx(0.5, rel=1e-3)
-    mid = mu.deriv_fd(0.25, 1)
+    mid = deriv_fd(mu, 0.25, 1)
     assert mid == pytest.approx(1.0, rel=1e-2)
 
 

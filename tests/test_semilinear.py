@@ -229,6 +229,16 @@ def test_picard_zero_forcing_fixed_point():
     assert report["contraction_factor"] == 0.0
 
 
+@pytest.mark.parametrize("window_T", [math.inf, math.nan, -1.0, 0.0])
+def test_picard_rejects_bad_window(window_T):
+    spec = _spec()
+    data = make_data(spec, amplitude=0.1, width=2.0)
+    cfg = EvolveConfig(grid=spec, nonlinearity=ZeroForcing(), data=data,
+                       dt=0.02, t_max=1.0)
+    with pytest.raises(ValueError, match="window_T"):
+        picard_verify(cfg, window_T=window_T)
+
+
 def test_picard_small_data_contraction_and_mismatch():
     spec = _spec()
     nl = Nonlinearity(catalog_make("power", p=1.0), 1)
