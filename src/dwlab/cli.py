@@ -356,22 +356,27 @@ def cmd_certificate(args, cfg):
                            sample_stride=_get(cfg, "sample_stride", int, 5),
                            keep_fields=True)
     traj = evolve(run_cfg)
+    out = _run_dir(_out_root(args), "certificate", cfg)
+    entries = [("config_hash", config_hash(cfg)), ("outcome", traj.outcome),
+               ("t_est", traj.t_est)]
     if traj.outcome != Outcome.COMPLETED:
         print(f"certificate: trajectory ended early ({traj.outcome} at "
               f"t={traj.t_est:g}); blow-up observed directly")
-    horizon = traj.times[-1]
-    r_probe = min(big_r, horizon)
+    if len(traj.times) < 2:
+        print("certificate: no sample after the data; functionals skipped")
+        _write_manifest(out, entries)
+        print(f"output in {out}")
+        return EXIT_OK
+    r_probe = min(big_r, traj.times[-1])
     constant = weight_bound_constant(spec.dimension, r0)
     i_r = functional_ir(traj, forcing, r_probe)
     r_grid = np.geomspace(r_probe / 256.0, r_probe, 65)
     y_rep = functional_y(traj, forcing, r_grid)
     y_swapped = functional_y_exchanged(traj, forcing, r_grid)
     modulus = getattr(forcing, "modulus", None)
-    out = _run_dir(_out_root(args), "certificate", cfg)
-    entries = [("config_hash", config_hash(cfg)), ("R", r_probe), ("r0", r0),
-               ("constant_C", f"{constant:.6g}"), ("I_R", f"{i_r:.6g}"),
-               ("Y", f"{y_rep['Y']:.6g}"),
-               ("Y_exchanged", f"{y_swapped:.6g}")]
+    entries += [("R", r_probe), ("r0", r0),
+                ("constant_C", f"{constant:.6g}"), ("I_R", f"{i_r:.6g}"),
+                ("Y", f"{y_rep['Y']:.6g}"), ("Y_exchanged", f"{y_swapped:.6g}")]
     print(f"C = {constant:.4g}   I_R = {i_r:.6g}   Y = {y_rep['Y']:.6g}")
     if modulus is not None and y_rep["Y"] > 0:
         report = blowup_certificate(modulus, spec.dimension,

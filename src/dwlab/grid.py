@@ -112,10 +112,6 @@ class GridField:
     def is_finite(self):
         return bool(np.all(np.isfinite(self.values)))
 
-    def first_nonfinite_index(self):
-        bad = np.argwhere(~np.isfinite(self.values))
-        return tuple(int(i) for i in bad[0]) if bad.size else None
-
 
 @dataclass
 class WaveState:
@@ -185,7 +181,8 @@ def lp_norm(field, p):
     """L^p norm by Riemann sum; p may be any real >= 1 or inf."""
     vals = field.values
     if not np.all(np.isfinite(vals)):
-        raise GridError(f"non-finite value at index {field.first_nonfinite_index()}")
+        bad = tuple(int(i) for i in np.argwhere(~np.isfinite(vals))[0])
+        raise GridError(f"non-finite value at index {bad}")
     if p == np.inf or p == "inf":
         return float(np.max(np.abs(vals)))
     if p < 1:

@@ -15,8 +15,8 @@ derivatives follow from the exact identities dK0 = -|xi|^2 K1 and
 dK1 = K0 - K1.
 
 The flow runs on the grid's rfft half-spectrum (`dwlab.grid.half_spectrum`):
-`propagate` keeps the multipliers of the last few (grid, dt) pairs, and
-`linear_norm_series` advances the spectra from sample to sample.
+`_flow`, under `propagate` and the split-step stepper, keeps the last few
+(grid, dt) multipliers, and `linear_norm_series` advances sample to sample.
 """
 
 from __future__ import annotations
@@ -110,6 +110,14 @@ def _flow_multipliers(spec, dt):
     return found
 
 
+def _flow(spec, u, v, dt):
+    """The arrays (u, u_t) advanced by dt > 0 under the exact linear flow, unchecked."""
+    K0, K1, dK0, dK1 = _flow_multipliers(spec, dt)
+    half = half_spectrum(spec)
+    u_hat, v_hat = half.forward(u), half.forward(v)
+    return half.inverse(K0 * u_hat + K1 * v_hat), half.inverse(dK0 * u_hat + dK1 * v_hat)
+
+
 def propagate(state, dt):
     """Evolve Cauchy data exactly by dt under the linear damped flow."""
     if dt < 0:
@@ -119,11 +127,8 @@ def propagate(state, dt):
     if dt == 0.0:
         return state.copy()
     spec = state.spec
-    K0, K1, dK0, dK1 = _flow_multipliers(spec, dt)
-    half = half_spectrum(spec)
-    u_hat, v_hat = half.forward(state.u.values), half.forward(state.v.values)
-    out = WaveState(state.time + dt, GridField(spec, half.inverse(K0 * u_hat + K1 * v_hat)),
-                    GridField(spec, half.inverse(dK0 * u_hat + dK1 * v_hat)))
+    u, v = _flow(spec, state.u.values, state.v.values, dt)
+    out = WaveState(state.time + dt, GridField(spec, u), GridField(spec, v))
     if not (out.u.is_finite() and out.v.is_finite()):
         raise ValueError(f"linear flow over dt={dt} produced a non-finite state")
     return out

@@ -289,8 +289,9 @@ def catalog_make(kind, p=None, depth=None):
         raise ModulusError(f"parameter p must be positive, got {p!r}")
     p = float(p)
     if kind is Kind.ITERLOG:
-        if depth is None or int(depth) != depth or depth < 1:
-            raise ModulusError(f"iterlog depth must be a positive integer, got {depth!r}")
+        # from depth 4 on, exp^(depth)(1/2) lies past the concavity scan's w = 350
+        if depth not in (1, 2, 3):
+            raise ModulusError(f"iterlog depth must be 1, 2 or 3, got {depth!r}")
         depth = int(depth)
     elif depth is not None:
         raise ModulusError(f"depth is only meaningful for iterlog, got {depth!r}")
@@ -343,10 +344,6 @@ def parse_modulus_spec(text):
             raise ModulusError("custom modulus needs a table file: custom:<path>")
         return load_custom_modulus(rest)
     kwargs = _spec_params(text, rest, "<kind>:p=<number>[,depth=<integer>]", ("p", "depth"))
-    if "depth" in kwargs:
-        if kwargs["depth"] != int(kwargs["depth"]):
-            raise ModulusError(f"depth must be an integer in {text!r}")
-        kwargs["depth"] = int(kwargs["depth"])
     return catalog_make(kind, **kwargs)
 
 

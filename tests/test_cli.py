@@ -77,6 +77,12 @@ _USER_ERRORS = [
     pytest.param(command, {key: value}, key, id=f"{key}={value}-{command}")
     for command, key, value in (("run", "sample_stride", "1.5"), ("linear", "N", "1e3"),
                                 ("certificate", "R", "abc"))
+] + [
+    # an iterlog depth outside 1..3 is named, not an overflow or a numpy warning
+    pytest.param("classify", {"modulus": spec}, "depth", id=spec)
+    for spec in ("iterlog:p=1,depth=inf", "iterlog:p=1,depth=nan", "iterlog:p=1,depth=5",
+                 "iterlog:p=1,depth=1e30", "iterlog:p=0.5,depth=4", "iterlog:p=1,depth=4",
+                 "iterlog:p=2,depth=4", "iterlog:p=4,depth=4")
 ]
 
 
@@ -309,8 +315,24 @@ def test_certificate_emits_functional_chain(tmp_path, capsys):
     assert "certificate:" in text
     (run_dir,) = list(out.iterdir())
     manifest = (run_dir / "manifest.txt").read_text()
-    for key in ("constant_C", "I_R", "Y", "Y_exchanged", "verdict"):
+    for key in ("outcome", "t_est", "constant_C", "I_R", "Y", "Y_exchanged", "verdict"):
         assert key in manifest
+
+
+def test_certificate_early_blowup_skips_functionals(tmp_path, capsys):
+    # blow-up within the first sample interval leaves only the t = 0 sample
+    code, out = _run_config(tmp_path, "certificate",
+                            dimension=1, L=80.0, N=512, width=2.0, dt=0.05, R=64.0,
+                            modulus="oracle:q=1.5", amplitude=1e8)
+    assert code == 0
+    captured = capsys.readouterr()
+    assert "functionals skipped" in captured.out and not captured.err
+    (run_dir,) = list(out.iterdir())
+    entries = dict(line.split(" = ", 1)
+                   for line in (run_dir / "manifest.txt").read_text().splitlines())
+    assert entries["outcome"] == "BlewUpAt"
+    assert 0.0 < float(entries["t_est"]) <= 0.25
+    assert "I_R" not in entries
 
 
 def test_certificate_rejects_zero_mean_data(tmp_path, capsys):

@@ -387,6 +387,10 @@ def test_parse_rejects_bad_parameters():
                  "iterlog:p=1.0,depth=1.5", "unknown:p=1"):
         with pytest.raises((ModulusError, ValueError)):
             parse_modulus_spec(text)
+    # exp^(depth)(1/2) must stay inside the concavity scan, so depth is 1, 2 or 3
+    for depth in ("4", "5", "1e30", "inf", "nan"):
+        with pytest.raises(ModulusError, match="depth"):
+            parse_modulus_spec(f"iterlog:p=1.0,depth={depth}")
 
 
 def test_custom_table_modulus(tmp_path):

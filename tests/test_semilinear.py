@@ -11,6 +11,7 @@ from dwlab.grid import GridError, GridField, GridSpec, WaveState
 from dwlab.linear import propagate
 from dwlab.modulus import Nonlinearity, PowerForcing, catalog_make
 from dwlab.semilinear import (
+    BlowupSignal,
     EvolveConfig,
     Outcome,
     a_norm,
@@ -25,6 +26,20 @@ from dwlab.semilinear import (
 class ZeroForcing:
     def h_eval(self, s):
         return np.zeros_like(s)
+
+
+class InfAtCall:
+    """A wrapped nonlinearity whose h is infinite from its `call`-th evaluation on."""
+
+    def __init__(self, inner, call):
+        self.inner = inner
+        self.call = call
+        self.calls = 0
+
+    def h_eval(self, s):
+        self.calls += 1
+        out = self.inner.h_eval(s)
+        return np.full_like(out, np.inf) if self.calls >= self.call else out
 
 
 class CountingForcing:
@@ -63,6 +78,47 @@ def test_step_reduces_to_linear_flow_without_forcing():
     assert np.max(np.abs(split.v.values - exact.v.values)) < 1e-12
 
 
+@pytest.mark.parametrize("spec", [GridSpec(1, 64.0, 512), GridSpec(2, 16.0, 64)],
+                         ids=["1d", "2d"])
+def test_step_is_kick_propagate_kick(spec):
+    nl = Nonlinearity(catalog_make("invlog", p=2.0), spec.dimension)
+    data = make_data(spec, amplitude=2.0, width=2.0, component="phi")
+    data = WaveState(0.5, data.u, GridField(spec, 0.3 * data.u.values))
+    h_u, dt = nl.h_eval(data.u.values), 0.05
+    out, h_out = step(data, h_u, dt, nl)
+
+    kicked = WaveState(data.time, data.u, GridField(spec, data.v.values + 0.5 * dt * h_u))
+    drifted = propagate(kicked, dt)
+    h_new = nl.h_eval(drifted.u.values)
+    assert out.time == drifted.time
+    assert np.array_equal(h_out, h_new)
+    assert np.array_equal(out.u.values, drifted.u.values)
+    assert np.array_equal(out.v.values, drifted.v.values + 0.5 * dt * h_new)
+
+
+def test_infinite_forcing_signals_blowup_at_attempt_start():
+    spec = _spec()
+    data = make_data(spec, amplitude=0.5, width=2.0)
+    forcing = InfAtCall(PowerForcing(1.5), call=2)
+    h_u = forcing.h_eval(data.u.values)
+    with pytest.raises(BlowupSignal) as caught:
+        step(data, h_u, 0.125, forcing)
+    assert caught.value.time == data.time
+
+    # h(u(0)) is call 1, so attempt k evaluates call k + 1 and starts at (k - 1) dt
+    dt = 0.125
+    cfg = EvolveConfig(grid=spec, nonlinearity=InfAtCall(PowerForcing(1.5), call=6),
+                       data=data, dt=dt, t_max=5.0, keep_fields=False)
+    traj = evolve(cfg)
+    assert traj.outcome == Outcome.BLEW_UP
+    assert traj.t_est == 4 * dt
+    # an infinite h(u) of the data itself is an error, not a blow-up time
+    cfg = EvolveConfig(grid=spec, nonlinearity=InfAtCall(PowerForcing(1.5), call=1),
+                       data=data, dt=dt, t_max=5.0)
+    with pytest.raises(ValueError, match="initial data"):
+        evolve(cfg)
+
+
 def test_step_matches_scalar_ode():
     spec = _spec()
     forcing = PowerForcing(1.5)
@@ -93,23 +149,33 @@ def test_step_order_two_convergence():
         assert 3.5 < coarse / fine < 4.5
 
 
-def test_evolve_evaluates_forcing_once_per_step():
+def test_evolve_evaluates_forcing_once_per_step(monkeypatch):
     spec = _spec()
     forcing = CountingForcing(Nonlinearity(catalog_make("invlog", p=2.0), 1))
     data = make_data(spec, amplitude=0.5, width=2.0)
     dt, steps = 0.125, 40  # a binary dt: every time sum is exact and no step is clipped
     cfg = EvolveConfig(grid=spec, nonlinearity=forcing, data=data, dt=dt,
                        t_max=steps * dt, sample_stride=8)
+    returned = []
+
+    def recording(*args):
+        out = step(*args)
+        returned.append(out[0])
+        return out
+
+    monkeypatch.setattr(semilinear, "step", recording)
     traj = evolve(cfg)
     assert traj.outcome == Outcome.COMPLETED
     assert forcing.calls == steps + 1
+    assert len(returned) == steps
+    assert np.array_equal(returned[-1].u.values, traj.u_samples[-1])
 
     state, h_u = data, forcing.h_eval(data.u.values)
     for _ in range(steps):
         state, h_u = step(state, h_u, dt, forcing)
     assert traj.times[-1] == state.time
     assert np.max(np.abs(traj.u_samples[-1] - state.u.values)) <= 1e-14 * np.max(np.abs(state.u.values))
-    assert np.max(np.abs(traj.v_samples[-1] - state.v.values)) <= 1e-14 * np.max(np.abs(state.v.values))
+    assert np.max(np.abs(returned[-1].v.values - state.v.values)) <= 1e-14 * np.max(np.abs(state.v.values))
 
 
 def test_forcing_reuse_keeps_blowup_with_halved_steps(monkeypatch):
@@ -203,9 +269,7 @@ def test_config_validation():
         EvolveConfig(grid=other, nonlinearity=PowerForcing(1.5), data=data,
                      dt=0.1, t_max=1.0)
     # NaN compares false both ways, so each bound is checked as lo < x < inf
-    for key, bad in (("dt", math.nan), ("t_max", math.nan), ("t_max", math.inf),
-                     ("dt_min", math.nan), ("dt_min", 0.0),
-                     ("blowup_threshold", math.nan), ("blowup_threshold", 1.0)):
+    for key, bad in (("dt", math.nan), ("t_max", math.nan), ("t_max", math.inf)):
         kwargs = {"dt": 0.1, "t_max": 1.0, key: bad}
         with pytest.raises(ValueError, match=key):
             EvolveConfig(grid=spec, nonlinearity=PowerForcing(1.5), data=data, **kwargs)

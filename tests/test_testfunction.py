@@ -138,7 +138,7 @@ def _constant_trajectory(spec, value, t_end, samples):
     return Trajectory(spec=spec, times=times,
                       norms={}, xnorm_running=np.zeros(samples),
                       outcome="CompletedHorizon", t_est=math.inf,
-                      u_samples=fields, v_samples=fields)
+                      u_samples=fields)
 
 
 def _real_trajectory(amplitude=2.0, t_max=64.0):
@@ -322,7 +322,7 @@ def _edge_trajectory(outside):
     fields = [np.where(x * x < 9.0, 0.3 + 0.02 * x + 0.01 * t, outside) for t in times]
     return Trajectory(spec=spec, times=times, norms={}, xnorm_running=np.zeros(len(times)),
                       outcome="CompletedHorizon", t_est=math.inf,
-                      u_samples=fields, v_samples=fields)
+                      u_samples=fields)
 
 
 def test_support_slices_keep_both_edges():
