@@ -136,31 +136,32 @@ def _run_dir(root, tag, cfg):
 # -- shared builders --------------------------------------------------
 
 
-def _data_radius(center, width):
-    # Gaussian tails below 1e-7 of peak beyond 4 widths.
-    return abs(center) + 4.0 * width
-
-
-def _build_grid(cfg):
-    n = _get(cfg, "dimension", int, 1)
-    half_length = _get(cfg, "L", float, None)
-    points = _get(cfg, "N", int, None)
-    return GridSpec(n, half_length, points)
-
-
-def _build_data(spec, cfg):
-    shape = _get(cfg, "shape", str, "gaussian")
-    amplitude = _get(cfg, "amplitude", float, 1.0)
+def _setup(cfg, horizon_key, horizon_default, horizon_min=0.0):
+    """(grid, horizon, data) of a config, checked key by key in that order,
+    then the wrap-around guard for the data spreading over the horizon."""
+    spec = GridSpec(_get(cfg, "dimension", int, 1), _get(cfg, "L", float, None),
+                    _get(cfg, "N", int, None))
+    horizon = _get(cfg, horizon_key, float, horizon_default)
+    if not horizon_min < horizon < math.inf:
+        raise ValueError(f"{horizon_key} must be finite and exceed {horizon_min:g}, got {horizon}")
     width = _get(cfg, "width", float, 1.0)
     center = _get(cfg, "center", float, 0.0)
-    return make_data(spec, shape=shape, amplitude=amplitude, width=width,
+    data = make_data(spec, shape=_get(cfg, "shape", str, "gaussian"),
+                     amplitude=_get(cfg, "amplitude", float, 1.0), width=width,
                      center=center, component="psi")
+    # Gaussian tails are below 1e-7 of the peak beyond 4 widths
+    check_torus_size(spec, horizon, abs(center) + 4.0 * width)
+    return spec, horizon, data
 
 
-def _enforce_torus(spec, cfg, t_max):
-    center = _get(cfg, "center", float, 0.0)
-    width = _get(cfg, "width", float, 1.0)
-    check_torus_size(spec, t_max, _data_radius(center, width))
+def _evolve(cfg, spec, data, t_max, sample_stride, keep_fields):
+    """(forcing, trajectory) of the config's modulus run from data to t_max."""
+    forcing = parse_forcing_spec(_get(cfg, "modulus", str, None), spec.dimension)
+    traj = evolve(EvolveConfig(
+        grid=spec, nonlinearity=forcing, data=data, dt=_get(cfg, "dt", float, 0.05),
+        t_max=t_max, sample_stride=_get(cfg, "sample_stride", int, sample_stride),
+        keep_fields=keep_fields))
+    return forcing, traj
 
 
 # -- subcommands ------------------------------------------------------
@@ -199,10 +200,8 @@ _LEMMA_RATES = {"Linf": lambda n: -n / 2.0,
 
 def cmd_linear(args, cfg):
     t_start = time.perf_counter()
-    spec = _build_grid(cfg)
-    t_max = _get(cfg, "t_max", float, 2000.0)
-    data = _build_data(spec, cfg)
-    _enforce_torus(spec, cfg, t_max)
+    # the sample times start at max(t_max / 100, 1), so t_max must exceed 1
+    spec, t_max, data = _setup(cfg, "t_max", 2000.0, horizon_min=1.0)
     out = _run_dir(_out_root(args), "linear", cfg)
     times = np.geomspace(max(t_max * 0.01, 1.0), t_max, 45)
     series = linear_norm_series(data, times)
@@ -237,16 +236,8 @@ def cmd_linear(args, cfg):
 def _single_run(cfg):
     """Worker body shared by `run` and `sweep`; returns a result dict."""
     t_start = time.perf_counter()
-    spec = _build_grid(cfg)
-    t_max = _get(cfg, "t_max", float, 100.0)
-    data = _build_data(spec, cfg)
-    _enforce_torus(spec, cfg, t_max)
-    forcing = parse_forcing_spec(_get(cfg, "modulus", str, None), spec.dimension)
-    run_cfg = EvolveConfig(
-        grid=spec, nonlinearity=forcing, data=data,
-        dt=_get(cfg, "dt", float, 0.05), t_max=t_max,
-        sample_stride=_get(cfg, "sample_stride", int, 20), keep_fields=False)
-    traj = evolve(run_cfg)
+    spec, t_max, data = _setup(cfg, "t_max", 100.0)
+    _, traj = _evolve(cfg, spec, data, t_max, sample_stride=20, keep_fields=False)
     result = {
         "config_hash": config_hash(cfg),
         "modulus": cfg.get("modulus", ""),
@@ -256,14 +247,14 @@ def _single_run(cfg):
         "xnorm": traj.xnorm,
         "wall_time_s": time.perf_counter() - t_start,
     }
+    series = {"t": traj.times, **traj.norms}
     if traj.outcome == Outcome.COMPLETED and traj.times[-1] >= 10 * (1 + traj.times[0]):
-        series = {"t": traj.times, **traj.norms}
         window = (traj.times[-1] * 0.1, traj.times[-1])
         try:
             result["linf_slope"] = decay_fit(series, "Linf", window).exponent
         except ValueError:
             pass
-    result["series"] = {"t": traj.times, **traj.norms}
+    result["series"] = series
     return result
 
 
@@ -312,7 +303,8 @@ def cmd_sweep(args, cfg):
             job.pop("epsilons", None)
             job.pop("moduli", None)
             jobs.append(job)
-    workers = max(args.workers, 1)
+    # a pool forks all its workers at once, so it gets no more than there are jobs
+    workers = min(max(args.workers, 1), len(jobs))
     if workers == 1:
         results = [_sweep_worker(job) for job in jobs]
     else:
@@ -342,20 +334,11 @@ def cmd_sweep(args, cfg):
 
 
 def cmd_certificate(args, cfg):
-    spec = _build_grid(cfg)
-    big_r = _get(cfg, "R", float, 64.0)
-    r0 = _get(cfg, "r0", float, 16.0)
-    shape = _get(cfg, "shape", str, "gaussian")
-    if shape == "dgaussian":
+    if _get(cfg, "shape", str, "gaussian") == "dgaussian":
         raise ValueError("zero-mean data rejected (positive-mean hypothesis)")
-    data = _build_data(spec, cfg)
-    _enforce_torus(spec, cfg, big_r)
-    forcing = parse_forcing_spec(_get(cfg, "modulus", str, None), spec.dimension)
-    run_cfg = EvolveConfig(grid=spec, nonlinearity=forcing, data=data,
-                           dt=_get(cfg, "dt", float, 0.05), t_max=big_r,
-                           sample_stride=_get(cfg, "sample_stride", int, 5),
-                           keep_fields=True)
-    traj = evolve(run_cfg)
+    spec, big_r, data = _setup(cfg, "R", 64.0)
+    r0 = _get(cfg, "r0", float, 16.0)
+    forcing, traj = _evolve(cfg, spec, data, big_r, sample_stride=5, keep_fields=True)
     out = _run_dir(_out_root(args), "certificate", cfg)
     entries = [("config_hash", config_hash(cfg)), ("outcome", traj.outcome),
                ("t_est", traj.t_est)]

@@ -102,18 +102,9 @@ class Modulus:
             return s ** p
         if self.kind is Kind.LOGPLUS:
             return np.log1p(s) ** p
-        if self.kind is Kind.INVLOG:
-            return (-np.log(s)) ** (-p)
-        if self.kind is Kind.ITERLOG:
-            depth = self.params["depth"]
-            logs = _nested_logs(-np.log(s), depth + 1)
-            out = logs[-1] ** (-p)
-            for lj in logs[:-1]:
-                out = out / lj
-            return out
         if self.kind is Kind.CUSTOM:
             return np.interp(s, self.table_s, self.table_mu)
-        raise ModulusError(f"unknown kind {self.kind}")
+        return self._log_formula(-np.log(s))
 
     def _raw_deriv(self, s, k):
         """Analytic k-th derivative of the raw formula, k in {1, 2}."""
@@ -127,13 +118,6 @@ class Modulus:
             if k == 1:
                 return p * L ** (p - 1.0) / (1.0 + s)
             return p * L ** (p - 2.0) * ((p - 1.0) - L) / (1.0 + s) ** 2
-        if self.kind is Kind.INVLOG:
-            L = -np.log(s)
-            if k == 1:
-                return (p / s) * L ** (-p - 1.0)
-            return (p / s ** 2) * L ** (-p - 2.0) * ((p + 1.0) - L)
-        if self.kind is Kind.ITERLOG:
-            return self._iterlog_deriv(s, k)
         if self.kind is Kind.CUSTOM:
             # piecewise linear: the slope of the segment holding s, at a knot
             # the left one, and no curvature
@@ -141,15 +125,24 @@ class Modulus:
                 return np.zeros_like(s, dtype=float)
             slopes = np.diff(self.table_mu) / np.diff(self.table_s)
             return slopes[np.searchsorted(self.table_s, s) - 1]
-        raise ModulusError(f"unknown kind {self.kind}")
+        return self._log_deriv(s, k)
 
-    def _iterlog_deriv(self, s, k):
+    def _log_formula(self, w):
+        """mu(exp(-w)) = L_1^{-1} ... L_d^{-1} L_{d+1}^{-p} for the log
+        families, with L_1 = w and L_{j+1} = log L_j; invlog is depth 0."""
+        logs = _nested_logs(w, self.params.get("depth", 0) + 1)
+        out = logs[-1] ** (-self.params["p"])
+        for lj in logs[:-1]:
+            out = out / lj
+        return out
+
+    def _log_deriv(self, s, k):
         # Logarithmic-derivative recursion.  With L_1 = log(1/s),
         # L_{j+1} = log L_j and exponents c_j (1 except the last, p):
         #   mu'/mu = (1/s) sum_j c_j / P_j,        P_j = L_1 ... L_j
         #   mu''   = mu (g' + g^2),  g = mu'/mu.
         p = self.params["p"]
-        depth = self.params["depth"]
+        depth = self.params.get("depth", 0)
         s = np.asarray(s, dtype=float)
         logs = _nested_logs(-np.log(s), depth + 1)
         coeffs = [1.0] * depth + [p]
@@ -159,17 +152,16 @@ class Modulus:
             running = running * lj
             prods.append(running.copy())
         S = sum(c / P for c, P in zip(coeffs, prods))
-        g = S / s
         if k == 1:
-            return self._raw(s) * g
-        # S' = (1/s) sum_j c_j (sum_{i<=j} 1/P_i) / P_j
+            return self._raw(s) * (S / s)
+        # S' = (1/s) sum_j c_j (sum_{i<=j} 1/P_i) / P_j = inner / s, so
+        # mu'' = mu (S^2 + inner - S) / s^2, with the one subtraction last
         inner = np.zeros_like(S)
         partial = np.zeros_like(S)
         for c, P in zip(coeffs, prods):
             partial = partial + 1.0 / P
             inner = inner + c * partial / P
-        g_prime = -S / s ** 2 + inner / s ** 2
-        return self._raw(s) * (g_prime + g ** 2)
+        return self._raw(s) * ((S * S + inner) - S) / s ** 2
 
     # -- public evaluation --------------------------------------------
 
@@ -222,28 +214,19 @@ class Modulus:
         w = np.asarray(w, dtype=float)
         scalar = w.ndim == 0
         w = np.atleast_1d(w)
-        w_star = -math.log(self.continuation_point) if self.continuation_point < np.inf else -np.inf
-        out = np.empty_like(w)
-        deep = w >= max(w_star, 0.0)
         p = self.params.get("p")
         if self.kind is Kind.POWER:
-            out[:] = np.exp(-p * w)
+            out = np.exp(-p * w)
         elif self.kind is Kind.LOGPLUS:
-            out[:] = np.log1p(np.exp(-w)) ** p
-        elif self.kind is Kind.INVLOG:
-            out[deep] = w[deep] ** (-p)
-        elif self.kind is Kind.ITERLOG:
-            depth = self.params["depth"]
-            logs = _nested_logs(w[deep], depth + 1)
-            val = logs[-1] ** (-p)
-            for lj in logs[:-1]:
-                val = val / lj
-            out[deep] = val
-        else:  # custom: limited range, go through eval
-            out[:] = self.eval(np.exp(-w))
-            return out[0] if scalar else out
-        if self.kind in (Kind.INVLOG, Kind.ITERLOG) and (~deep).any():
-            out[~deep] = self.eval(np.exp(-w[~deep]))
+            out = np.log1p(np.exp(-w)) ** p
+        elif self.kind is Kind.CUSTOM:  # limited range, go through eval
+            out = self.eval(np.exp(-w))
+        else:  # the formula below s*, the continuation through eval above it
+            out = np.empty_like(w)
+            deep = w >= max(-math.log(self.continuation_point), 0.0)
+            out[deep] = self._log_formula(w[deep])
+            if not deep.all():
+                out[~deep] = self.eval(np.exp(-w[~deep]))
         return out[0] if scalar else out
 
 
@@ -264,13 +247,14 @@ def _iterlog_continuation_w(p, depth):
         w_lo = math.exp(w_lo)
     probe = Modulus(Kind.ITERLOG, {"p": p, "depth": depth}, continuation_point=1.0)
     grid_w = np.geomspace(w_lo, 350.0, 4000)
-    d2 = probe._iterlog_deriv(np.exp(-grid_w), 2)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite d2 counts as bad
+        d2 = probe._log_deriv(np.exp(-grid_w), 2)
     bad = grid_w[~(np.isfinite(d2) & (d2 <= 0.0))]
     if bad.size and bad[-1] > 300.0:
         raise ModulusError(f"no concave range found for iterlog p={p} depth={depth}")
     w_star = 1.05 * (bad[-1] if bad.size else w_lo)
     check = np.geomspace(w_star, 350.0, 2000)
-    if not np.all(probe._iterlog_deriv(np.exp(-check), 2) <= 0.0):
+    if not np.all(probe._log_deriv(np.exp(-check), 2) <= 0.0):
         raise ModulusError(f"concavity scan failed for iterlog p={p} depth={depth}")
     return w_star
 
@@ -301,11 +285,19 @@ def catalog_make(kind, p=None, depth=None):
                        analytic_dini_label=Verdict.CONVERGENT)
     label = Verdict.CONVERGENT if p > 1.0 else Verdict.DIVERGENT
     if kind is Kind.INVLOG:
-        s_star = math.exp(-max(2.0, p + 1.0))
-        return Modulus(kind, {"p": p}, continuation_point=s_star, analytic_dini_label=label)
-    w_star = _iterlog_continuation_w(p, depth)
-    return Modulus(kind, {"p": p, "depth": depth}, continuation_point=math.exp(-w_star),
-                   analytic_dini_label=label)
+        modulus = Modulus(kind, {"p": p}, continuation_point=math.exp(-max(2.0, p + 1.0)),
+                          analytic_dini_label=label)
+    else:
+        modulus = Modulus(kind, {"p": p, "depth": depth},
+                          continuation_point=math.exp(-_iterlog_continuation_w(p, depth)),
+                          analytic_dini_label=label)
+    # a subnormal mu(s*) has lost digits; at 0 the forcing and the slope vanish
+    s_star, tiny = modulus.continuation_point, np.finfo(float).tiny
+    mu_star = modulus._raw(s_star) if s_star >= tiny else 0.0
+    if not mu_star >= tiny:
+        raise ModulusError(f"{kind.value} p={p:g} is too large: mu(s*) = {mu_star:.3g} at "
+                           f"s* = {s_star:.3g} is below the smallest normal double")
+    return modulus
 
 
 def load_custom_modulus(path):
@@ -416,16 +408,14 @@ class PowerForcing:
 # -- condition checkers -----------------------------------------------
 
 
-def check_slow_variation(modulus, s0=None, grid_size=400):
-    """Observed sup of s^k |mu^(k)(s)| / mu(s) over a log grid on (0, s0],
-    as ``{1: sup for k=1, 2: sup for k=2}``."""
-    if s0 is None:
-        s0 = min(modulus.continuation_point, 1e-1)
-    if s0 <= 0:
-        raise ModulusError("s0 must be positive")
-    if grid_size < 100:
-        raise ModulusError("grid_size must be at least 100")
-    s = np.geomspace(s0 * 1e-8, s0, grid_size)
+_CHECK_GRID = 400  # log-grid points of the slow-variation and convexity checks
+
+
+def check_slow_variation(modulus):
+    """Observed sup of s^k |mu^(k)(s)| / mu(s) over a log grid on
+    [s0 1e-8, s0], s0 = min(s*, 0.1), as ``{1: sup for k=1, 2: sup for k=2}``."""
+    s0 = min(modulus.continuation_point, 1e-1)
+    s = np.geomspace(s0 * 1e-8, s0, _CHECK_GRID)
     mu = modulus.eval(s)
     if np.any(mu <= 0):
         raise ModulusError("mu vanishes at an interior grid point")
@@ -504,15 +494,20 @@ def shell_integrals(f, lo, hi, epsabs, epsrel, limit=50):
     return result
 
 
-def _dini_shells(modulus, shells, base):
-    """Dyadic-shell integrals S_k = int_{a 2^{-k-1}}^{a 2^{-k}} mu(t)/t dt.
+_DINI_SHELLS = 240  # dyadic shells of the Dini classifier
+_DINI_BASE = 0.01  # the upper end a of the shallowest shell
+
+
+def _dini_shells(modulus):
+    """Dyadic-shell integrals S_k = int_{a 2^{-k-1}}^{a 2^{-k}} mu(t)/t dt,
+    a = _DINI_BASE, k < _DINI_SHELLS.
 
     With t = exp(-w) each shell is int mu(exp(-w)) dw over a window of
     width log 2, which stays well-conditioned for arbitrarily deep shells.
     """
-    w0 = -math.log(base)
+    w0 = -math.log(_DINI_BASE)
     ln2 = math.log(2.0)
-    k = np.arange(shells)
+    k = np.arange(_DINI_SHELLS)
     return shell_integrals(modulus.eval_neglog, w0 + k * ln2, w0 + (k + 1) * ln2,
                            epsabs=1e-10, epsrel=1e-10, limit=200), w0
 
@@ -540,7 +535,7 @@ def _beyond_boundary(c, band):
     return False
 
 
-def classify_dini(modulus, shells=240, base=0.01):
+def classify_dini(modulus):
     """Heuristic convergence test for int_{C0}^inf mu(1/s)/s ds.
 
     Shell contributions that decay geometrically mark convergence
@@ -551,16 +546,13 @@ def classify_dini(modulus, shells=240, base=0.01):
     the closed catalog; an Inconclusive verdict covers fit failures and
     moduli whose continuation point lies past the deepest shell.
     """
-    if shells < 40:
-        raise ModulusError("need at least 40 shells")
-    if not 0.0 < base < 1.0:
-        raise ModulusError("base must lie in (0, 1)")
-    S, w0 = _dini_shells(modulus, shells, base)
+    S, w0 = _dini_shells(modulus)
+    shells = len(S)
 
     def result(verdict, total=None):
         return DiniResult(verdict, modulus.analytic_dini_label, S, total)
 
-    if modulus.continuation_point < base * 2.0 ** -shells:
+    if modulus.continuation_point < _DINI_BASE * 2.0 ** -shells:
         # the deepest shell still lies in the linear continuation, so no
         # shell sees the defining formula
         return result(Verdict.INCONCLUSIVE)
@@ -606,21 +598,16 @@ def classify_dini(modulus, shells=240, base=0.01):
     return result(Verdict.CONVERGENT, partial + tail / ln2)
 
 
-def check_h_convexity(nonlinearity, interval=None, grid_size=400):
-    """Minimum of the h'' bracket on a log grid inside (0, s0].
+def check_h_convexity(nonlinearity):
+    """Minimum of the h'' bracket on a log grid on [s0 1e-6, s0], s0 = min(s*, 0.1).
 
     h''(s) = s^{2/n - 1} [ (2/n)(1+2/n) mu + 2 (1+2/n) s mu' + s^2 mu'' ];
     the bracket is evaluated directly so the singular prefactor cannot
     mask a sign change.
     """
     mu = nonlinearity.modulus
-    if interval is None:
-        s0 = min(mu.continuation_point, 1e-1)
-        interval = (s0 * 1e-6, s0)
-    lo, hi = interval
-    if not 0.0 < lo < hi:
-        raise ModulusError("interval must satisfy 0 < lo < hi")
-    s = np.geomspace(lo, hi, grid_size)
+    s0 = min(mu.continuation_point, 1e-1)
+    s = np.geomspace(s0 * 1e-6, s0, _CHECK_GRID)
     two_n = 2.0 / nonlinearity.dimension
     bracket = (two_n * (1.0 + two_n) * mu.eval(s)
                + 2.0 * (1.0 + two_n) * s * mu.deriv(s, 1)

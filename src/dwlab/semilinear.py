@@ -323,10 +323,13 @@ def make_data(spec, shape="gaussian", amplitude=1.0, width=1.0, center=0.0,
                      GridField(spec, state.v.values * scale))
 
 
-def check_torus_size(spec, t_max, data_radius, margin=2.0):
+_TORUS_MARGIN = 2.0  # free length kept between the spreading data and the boundary
+
+
+def check_torus_size(spec, t_max, data_radius):
     """Wrap-around guard: unit speed propagation must not reach the boundary."""
-    needed = data_radius + t_max + margin
+    needed = data_radius + t_max + _TORUS_MARGIN
     if not spec.half_length >= needed:
         raise GridError(
             f"half_length {spec.half_length} too small: need >= {needed} "
-            f"(data radius {data_radius} + horizon {t_max} + margin {margin})")
+            f"(data radius {data_radius} + horizon {t_max} + margin {_TORUS_MARGIN})")

@@ -30,8 +30,6 @@ from .modulus import Verdict, classify_dini, shell_integrals
 
 __all__ = [
     "eta",
-    "eta_d1",
-    "eta_d2",
     "eta_star",
     "psi_weights",
     "weight_bound_constant",
@@ -48,44 +46,6 @@ __all__ = [
 # -- the smooth step --------------------------------------------------
 
 
-def _flat(tau):
-    """exp(-1/tau) extended by 0 to tau <= 0; smooth on all of R."""
-    tau = np.asarray(tau, dtype=float)
-    out = np.zeros_like(tau)
-    pos = tau > 0
-    out[pos] = np.exp(-1.0 / tau[pos])
-    return out
-
-
-def _flat_d1(tau):
-    tau = np.asarray(tau, dtype=float)
-    out = np.zeros_like(tau)
-    pos = tau > 0
-    t = tau[pos]
-    out[pos] = np.exp(-1.0 / t) / t ** 2
-    return out
-
-
-def _flat_d2(tau):
-    tau = np.asarray(tau, dtype=float)
-    out = np.zeros_like(tau)
-    pos = tau > 0
-    t = tau[pos]
-    out[pos] = np.exp(-1.0 / t) * (1.0 / t ** 4 - 2.0 / t ** 3)
-    return out
-
-
-def _pieces(s):
-    """g1 = flat(1-s), g2 = flat(s-1/2) and their s-derivatives."""
-    g1 = _flat(1.0 - s)
-    g2 = _flat(s - 0.5)
-    d1 = -_flat_d1(1.0 - s)
-    d2 = _flat_d1(s - 0.5)
-    dd1 = _flat_d2(1.0 - s)
-    dd2 = _flat_d2(s - 0.5)
-    return g1, g2, d1, d2, dd1, dd2
-
-
 def eta(s):
     """Smooth step: 1 on [0, 1/2], strictly decreasing on (1/2, 1), 0 beyond."""
     s = np.asarray(s, dtype=float)
@@ -94,38 +54,31 @@ def eta(s):
     out = np.where(s <= 0.5, 1.0, 0.0)
     mid = (s > 0.5) & (s < 1.0)
     if mid.any():
-        g1, g2 = _flat(1.0 - s[mid]), _flat(s[mid] - 0.5)
+        g1, g2 = np.exp(-1.0 / (1.0 - s[mid])), np.exp(-1.0 / (s[mid] - 0.5))
         out[mid] = g1 / (g1 + g2)
     return out[0] if scalar else out
 
 
-def eta_d1(s):
-    """First derivative of the smooth step (vanishes outside (1/2, 1))."""
+def _eta_jet(s):
+    """(eta, eta', eta'') at s; both derivatives vanish outside (1/2, 1).
+
+    On (1/2, 1) eta = g1 / (g1 + g2) with g1 = f(1 - s), g2 = f(s - 1/2)
+    and f(t) = exp(-1/t), f' = f / t^2, f'' = f (1/t^4 - 2/t^3).
+    """
     s = np.asarray(s, dtype=float)
-    scalar = s.ndim == 0
-    s = np.atleast_1d(s)
-    out = np.zeros_like(s)
+    d1, d2 = np.zeros_like(s), np.zeros_like(s)
     mid = (s > 0.5) & (s < 1.0)
     if mid.any():
-        g1, g2, d1, d2, _, _ = _pieces(s[mid])
-        out[mid] = (d1 * g2 - g1 * d2) / (g1 + g2) ** 2
-    return out[0] if scalar else out
-
-
-def eta_d2(s):
-    """Second derivative of the smooth step."""
-    s = np.asarray(s, dtype=float)
-    scalar = s.ndim == 0
-    s = np.atleast_1d(s)
-    out = np.zeros_like(s)
-    mid = (s > 0.5) & (s < 1.0)
-    if mid.any():
-        g1, g2, d1, d2, dd1, dd2 = _pieces(s[mid])
-        num = d1 * g2 - g1 * d2
-        dnum = dd1 * g2 - g1 * dd2
+        t1, t2 = 1.0 - s[mid], s[mid] - 0.5
+        g1, g2 = np.exp(-1.0 / t1), np.exp(-1.0 / t2)
+        dg1, dg2 = -(g1 / t1 ** 2), g2 / t2 ** 2
+        ddg1 = g1 * (1.0 / t1 ** 4 - 2.0 / t1 ** 3)
+        ddg2 = g2 * (1.0 / t2 ** 4 - 2.0 / t2 ** 3)
+        num = dg1 * g2 - g1 * dg2
         den = g1 + g2
-        out[mid] = dnum / den ** 2 - 2.0 * num * (d1 + d2) / den ** 3
-    return out[0] if scalar else out
+        d1[mid] = num / den ** 2
+        d2[mid] = (ddg1 * g2 - g1 * ddg2) / den ** 2 - 2.0 * num * (dg1 + dg2) / den ** 3
+    return eta(s), d1, d2
 
 
 def eta_star(s):
@@ -154,13 +107,21 @@ def wave_operator_on_weight(t, x_sq, big_r, dimension):
     """
     n = dimension
     z = (np.asarray(x_sq, dtype=float) + np.asarray(t, dtype=float)) / big_r
-    e, e1, e2 = eta(z), eta_d1(z), eta_d2(z)
-    bulk = (n + 1) * e ** n * e1 ** 2 + e ** (n + 1) * e2
-    drift = (2 * n + 1) * e ** (n + 1) * e1
+    _, bulk, drift = _weight_terms(z, n)
     return (n + 2) / big_r * (bulk * (1.0 - 4.0 * np.asarray(x_sq)) / big_r - drift)
 
 
-def weight_bound_constant(dimension, r0, grid_size=4001):
+def _weight_terms(z, n):
+    """(eta, B, (2n+1) eta^{n+1} eta') at z, B as in `wave_operator_on_weight`."""
+    e, e1, e2 = _eta_jet(z)
+    bulk = (n + 1) * e ** n * e1 ** 2 + e ** (n + 1) * e2
+    return e, bulk, (2 * n + 1) * e ** (n + 1) * e1
+
+
+_WEIGHT_GRID = 4001  # z samples on [1/2, 1] that calibrate weight_bound_constant
+
+
+def weight_bound_constant(dimension, r0):
     """Smallest C we can certify for the pointwise estimate
 
         |(d_t^2 - Delta - d_t) psi_R| <= (C/R) (psi*_R)^{n/(n+2)}
@@ -173,10 +134,8 @@ def weight_bound_constant(dimension, r0, grid_size=4001):
     if not 0 < r0 < math.inf:
         raise ValueError(f"r0 must be positive and finite, got {r0}")
     n = dimension
-    z = np.linspace(0.5, 1.0, grid_size)[1:-1]
-    e, e1, e2 = eta(z), eta_d1(z), eta_d2(z)
-    bulk = (n + 1) * e ** n * e1 ** 2 + e ** (n + 1) * e2
-    drift = (2 * n + 1) * e ** (n + 1) * e1
+    z = np.linspace(0.5, 1.0, _WEIGHT_GRID)[1:-1]
+    e, bulk, drift = _weight_terms(z, n)
     scale = e ** n  # (psi*)^{n/(n+2)} on the annulus
     ok = scale > 1e-250
     lo = np.abs(bulk * (-4.0 * z) - drift)[ok] / scale[ok]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dwlab import cli
 from dwlab.cli import config_hash, main, parse_config
 
 
@@ -64,14 +65,23 @@ _USER_ERRORS = [
 ] + [
     # NaN compares false with every bound, so each check must be written lo < x < inf
     pytest.param(command, {key: "nan"}, "", id=f"{key}=nan-{command}")
-    for command, key in (("run", "t_max"), ("run", "L"), ("run", "dt"),
-                         ("linear", "t_max"), ("linear", "L"), ("certificate", "L"),
+    for command, key in (("run", "L"), ("run", "dt"), ("linear", "L"), ("certificate", "L"),
                          ("certificate", "r0"))
 ] + [
     # a bad data parameter is reported by its config key
     pytest.param(command, {key: "nan"}, key, id=f"{key}=nan-{command}")
     for command, key in (("run", "amplitude"), ("linear", "amplitude"),
                          ("certificate", "amplitude"), ("run", "width"))
+] + [
+    # a bad horizon is reported by its key, not blamed on the torus or the
+    # sample times; linear samples from max(t_max / 100, 1), so t_max > 1
+    pytest.param(command, {key: value}, key, id=f"{key}={value}-{command}")
+    for command, key, value in (("run", "t_max", "nan"), ("linear", "t_max", "nan"),
+                                ("certificate", "R", "nan"), ("linear", "t_max", "-5"),
+                                ("linear", "t_max", "0.5"))
+] + [
+    # a log-family p whose mu(s*) is not a normal double is named by its value
+    pytest.param("run", {"modulus": "invlog:p=800"}, "800", id="invlog:p=800-run"),
 ] + [
     # a value the key's type cannot parse is reported by its config key
     pytest.param(command, {key: value}, key, id=f"{key}={value}-{command}")
@@ -249,6 +259,33 @@ def test_sweep_worker_count_does_not_change_results(tmp_path, capsys):
         strip = lambda text: [ln for ln in text.splitlines()
                               if not ln.startswith("wall_time")]
         assert strip(manifests[0][key]) == strip(manifests[1][key])
+
+
+def test_sweep_pool_is_capped_at_the_job_count(tmp_path, capsys, monkeypatch):
+    # a pool forks all its workers at once: record the size asked for and
+    # map in this process instead of starting one
+    sizes = []
+
+    class InlineExecutor:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlineExecutor)
+    cfg = _write_config(tmp_path, "sweep.cfg", dimension=1, L=64.0, N=512, t_max=1.0,
+                        width=2.0, modulus="oracle:q=1.5", epsilons="0.2 0.5")
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out"),
+                 "--workers", "64"]) == 0
+    assert "oracle:q=1.5" in capsys.readouterr().out
+    assert sizes == [2]
 
 
 def test_sweep_isolates_failing_jobs(tmp_path, capsys):

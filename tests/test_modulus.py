@@ -122,6 +122,16 @@ def test_deriv_invlog_closed_form():
     # d/ds (log 1/s)^-1 = (1/s)(log 1/s)^-2; at s = e^-2 this is e^2/4.
     mu = catalog_make("invlog", p=1.0)
     assert mu.deriv(math.exp(-2.0), 1) == pytest.approx(math.e ** 2 / 4.0, rel=1e-12)
+    # With L = log 1/s: mu' = (p/s) L^{-p-1}, mu'' = (p/s^2) L^{-p-2} ((p+1) - L).
+    # s* is left out: for p >= 1 mu'' vanishes there, where no relative error
+    # is defined; s >= 1e-150 keeps s^2 a normal double.
+    for p in (0.5, 1.0, 2.0):
+        mu = catalog_make("invlog", p=p)
+        s = np.geomspace(1e-150, mu.continuation_point, 201)[:-1]
+        L = -np.log(s)
+        np.testing.assert_allclose(mu.deriv(s, 1), (p / s) * L ** (-p - 1.0), rtol=1e-13)
+        np.testing.assert_allclose(mu.deriv(s, 2),
+                                   (p / s ** 2) * L ** (-p - 2.0) * ((p + 1.0) - L), rtol=1e-13)
 
 
 def test_deriv_rejects_zero_and_bad_order():
@@ -189,15 +199,14 @@ def test_slow_variation_power_exact_ratio():
 
 
 def test_slow_variation_invlog_ratio_decays():
-    mu = catalog_make("invlog", p=2.0)
-    shallow = check_slow_variation(mu, s0=1e-2)[1]
-    deep = check_slow_variation(mu, s0=1e-8)[1]
-    # ratio = p/log(1/s): extending the grid toward 0 lowers the observed max
-    assert deep < shallow <= 2.0 / math.log(100.0) + 1e-9
+    # s mu'/mu = p/log(1/s) decays toward s = 0, so its sup over the grid is
+    # at the top s0 = s* = e^-3, where it is 2/3 for p = 2
+    ratios = check_slow_variation(catalog_make("invlog", p=2.0))
+    assert ratios[1] == pytest.approx(2.0 / 3.0, rel=1e-14)
 
 
 def test_slow_variation_logplus_bounded_by_one():
-    ratios = check_slow_variation(catalog_make("logplus", p=1.0), s0=1.0)
+    ratios = check_slow_variation(catalog_make("logplus", p=1.0))
     assert ratios[1] <= 1.0 + 1e-12
 
 
@@ -215,7 +224,7 @@ def test_classifier_matches_catalog_labels():
 def test_classifier_tail_matches_closed_form():
     # For (log 1/s)^-p the integral of mu(t)/t on (0, a] is
     # (p-1)^-1 (log 1/a)^{1-p}; with p=2, a=0.01 that is 1/log(100).
-    result = classify_dini(catalog_make("invlog", p=2.0), base=0.01)
+    result = classify_dini(catalog_make("invlog", p=2.0))
     expected = 1.0 / math.log(100.0)
     assert result.total_estimate == pytest.approx(expected, rel=1e-3)
 
@@ -224,7 +233,7 @@ def test_classifier_tail_matches_closed_form():
 def test_classifier_total_invlog_closed_form(p):
     # near p = 1 the tail past the last shell is most of the integral, so
     # a truncated tail sum is too small here (by 8% at p = 1.2)
-    result = classify_dini(catalog_make("invlog", p=p), base=0.01)
+    result = classify_dini(catalog_make("invlog", p=p))
     expected = math.log(100.0) ** (1.0 - p) / (p - 1.0)
     assert result.total_estimate == pytest.approx(expected, rel=5e-4)
 
@@ -306,7 +315,7 @@ def _shells_by_quad(mu, shells=240, base=0.01):
 def test_dini_shells_match_scalar_quad(tmp_path, entry):
     kind, p, depth = entry
     mu = _kinked(tmp_path) if kind == "kinked" else catalog_make(kind, p=p, depth=depth)
-    shells, _ = _dini_shells(mu, 240, 0.01)
+    shells, _ = _dini_shells(mu)
     np.testing.assert_allclose(shells, _shells_by_quad(mu), rtol=1e-13, atol=0.0)
 
 
@@ -319,9 +328,9 @@ def test_quad_fallback_only_where_the_first_rule_fails(tmp_path, monkeypatch):
 
     monkeypatch.setattr(modulus_module, "quad", counting_quad)
     for mu in _entries():
-        _dini_shells(mu, 240, 0.01)
+        _dini_shells(mu)
     assert calls == []
-    _dini_shells(_kinked(tmp_path), 240, 0.01)
+    _dini_shells(_kinked(tmp_path))
     assert len(calls) >= 1
 
 
@@ -360,8 +369,7 @@ def test_h_convexity_invlog_bracket_limit():
 
 
 def test_h_convexity_logplus():
-    convexity_min = check_h_convexity(Nonlinearity(catalog_make("logplus", p=1.0), 2),
-                                      interval=(1e-8, 1.0))
+    convexity_min = check_h_convexity(Nonlinearity(catalog_make("logplus", p=1.0), 2))
     assert convexity_min >= -1e-10
 
 
@@ -387,6 +395,13 @@ def test_parse_rejects_bad_parameters():
                  "iterlog:p=1.0,depth=1.5", "unknown:p=1"):
         with pytest.raises((ModulusError, ValueError)):
             parse_modulus_spec(text)
+    # mu(s*) must be a positive normal double: invlog's is subnormal from
+    # p = 143 on, and its s* = exp(-801) is 0 at p = 800
+    for p, spec in (("143", "invlog:p=143"), ("800", "invlog:p=800"),
+                    ("1000", "iterlog:p=1000,depth=1")):
+        with pytest.raises(ModulusError, match=f"p={p} "):
+            parse_modulus_spec(spec)
+    assert parse_modulus_spec("invlog:p=142").continuation_point > 0.0
     # exp^(depth)(1/2) must stay inside the concavity scan, so depth is 1, 2 or 3
     for depth in ("4", "5", "1e30", "inf", "nan"):
         with pytest.raises(ModulusError, match="depth"):

@@ -12,10 +12,9 @@ from dwlab.grid import GridSpec
 from dwlab.modulus import Nonlinearity, catalog_make, check_h_convexity
 from dwlab.semilinear import EvolveConfig, Trajectory, evolve, make_data
 from dwlab.testfunction import (
+    _eta_jet,
     blowup_certificate,
     eta,
-    eta_d1,
-    eta_d2,
     eta_star,
     functional_ir,
     functional_y,
@@ -53,21 +52,26 @@ def test_eta_star_matches_on_annulus():
 def test_eta_derivatives_match_finite_differences():
     s = np.linspace(0.501, 0.999, 1501)
     h = 1e-6
+    _, d1, d2 = _eta_jet(s)
     fd1 = (eta(s + h) - eta(s - h)) / (2.0 * h)
-    fd2 = (eta_d1(s + h) - eta_d1(s - h)) / (2.0 * h)
-    assert np.max(np.abs(fd1 - eta_d1(s))) < 1e-8
-    assert np.max(np.abs(fd2 - eta_d2(s))) < 1e-6
+    fd2 = (_eta_jet(s + h)[1] - _eta_jet(s - h)[1]) / (2.0 * h)
+    assert np.max(np.abs(fd1 - d1)) < 1e-8
+    assert np.max(np.abs(fd2 - d2)) < 1e-6
 
 
 def test_eta_derivatives_vanish_outside_transition():
     s = np.array([0.0, 0.2, 0.5, 1.0, 3.0])
-    assert np.all(eta_d1(s) == 0.0)
-    assert np.all(eta_d2(s) == 0.0)
+    _, d1, d2 = _eta_jet(s)
+    assert np.all(d1 == 0.0)
+    assert np.all(d2 == 0.0)
 
 
 def test_eta_second_derivative_bounded():
     s = np.linspace(0.5, 1.0, 20001)
-    assert np.max(np.abs(eta_d2(s))) < 200.0
+    value, _, d2 = _eta_jet(s)
+    assert np.max(np.abs(d2)) < 200.0
+    # the jet's value is eta itself, bit for bit
+    assert np.array_equal(value, eta(s))
 
 
 # -- weights and the pointwise operator bound -------------------------
