@@ -338,6 +338,7 @@ def cmd_certificate(args, cfg):
         raise ValueError("zero-mean data rejected (positive-mean hypothesis)")
     spec, big_r, data = _setup(cfg, "R", 64.0)
     r0 = _get(cfg, "r0", float, 16.0)
+    constant = weight_bound_constant(spec.dimension, r0)  # checks r0 before the run
     forcing, traj = _evolve(cfg, spec, data, big_r, sample_stride=5, keep_fields=True)
     out = _run_dir(_out_root(args), "certificate", cfg)
     entries = [("config_hash", config_hash(cfg)), ("outcome", traj.outcome),
@@ -351,7 +352,6 @@ def cmd_certificate(args, cfg):
         print(f"output in {out}")
         return EXIT_OK
     r_probe = min(big_r, traj.times[-1])
-    constant = weight_bound_constant(spec.dimension, r0)
     i_r = functional_ir(traj, forcing, r_probe)
     r_grid = np.geomspace(r_probe / 256.0, r_probe, 65)
     y_rep = functional_y(traj, forcing, r_grid)

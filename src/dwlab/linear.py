@@ -15,8 +15,10 @@ derivatives follow from the exact identities dK0 = -|xi|^2 K1 and
 dK1 = K0 - K1.
 
 The flow runs on the grid's rfft half-spectrum (`dwlab.grid.half_spectrum`):
-`_flow`, under `propagate` and the split-step stepper, keeps the last few
-(grid, dt) multipliers, and `linear_norm_series` advances sample to sample.
+`_flow_hat` applies the last few (grid, dt) multipliers, kept in a cache, to
+half-spectra; the split-step stepper's loop calls it directly and `_flow`,
+under `propagate` and `step`, wraps it in the transform pairs.
+`linear_norm_series` advances sample to sample.
 """
 
 from __future__ import annotations
@@ -110,12 +112,17 @@ def _flow_multipliers(spec, dt):
     return found
 
 
+def _flow_hat(spec, u_hat, v_hat, dt):
+    """The half-spectra of (u, u_t) advanced by dt > 0 under the exact linear flow."""
+    K0, K1, dK0, dK1 = _flow_multipliers(spec, dt)
+    return K0 * u_hat + K1 * v_hat, dK0 * u_hat + dK1 * v_hat
+
+
 def _flow(spec, u, v, dt):
     """The arrays (u, u_t) advanced by dt > 0 under the exact linear flow, unchecked."""
-    K0, K1, dK0, dK1 = _flow_multipliers(spec, dt)
     half = half_spectrum(spec)
-    u_hat, v_hat = half.forward(u), half.forward(v)
-    return half.inverse(K0 * u_hat + K1 * v_hat), half.inverse(dK0 * u_hat + dK1 * v_hat)
+    u_hat, v_hat = _flow_hat(spec, half.forward(u), half.forward(v), dt)
+    return half.inverse(u_hat), half.inverse(v_hat)
 
 
 def propagate(state, dt):

@@ -166,21 +166,20 @@ class Modulus:
     # -- public evaluation --------------------------------------------
 
     def eval(self, s):
-        """Evaluate mu(s) for s >= 0 (scalar or array)."""
+        """Evaluate mu(s) for s >= 0 (scalar or array); mu(0) = 0 and a NaN
+        argument gives NaN."""
         s = np.asarray(s, dtype=float)
         scalar = s.ndim == 0
         s = np.atleast_1d(s)
         if np.any(s < 0):
             raise ModulusError("modulus argument must be non-negative")
-        out = np.zeros_like(s)
-        pos = s > 0
-        inner = pos & (s <= self.continuation_point)
-        outer = pos & (s > self.continuation_point)
-        if inner.any():
-            out[inner] = self._raw(s[inner])
+        sst = self.continuation_point
+        # every formula gives mu(0) = 0, the log families through log(0) = -inf
+        with np.errstate(divide="ignore"):
+            out = self._raw(np.minimum(s, sst))
+        outer = s > sst
         if outer.any():
-            sst = self.continuation_point
-            out[outer] = self._raw(sst) + self._raw_deriv(sst, 1) * (s[outer] - sst)
+            out = np.where(outer, self._raw(sst) + self._raw_deriv(sst, 1) * (s - sst), out)
         return out[0] if scalar else out
 
     def __call__(self, s):

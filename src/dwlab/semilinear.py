@@ -7,11 +7,18 @@ The stepper is Strang splitting around the exact linear propagator:
     kick   v <- v + (dt/2) h(u)
 
 which is second order and inherits the linear decay structure exactly
-(h = 0 reduces to the exact flow); `step` drifts raw arrays through the
-flow kernel that `dwlab.linear.propagate` wraps.  Blow-up is detected
-operationally: |u| above `BLOWUP_THRESHOLD`, non-finite values, or the
-step halving below `DT_MIN`.  True nonexistence is asymptotic and the
-detected time is an upper proxy for the lifespan, not a sharp estimate.
+(h = 0 reduces to the exact flow).  `evolve` carries the rfft half-spectra
+(u_hat, v_hat, h_hat) of u, u_t and h(u) from one accepted step to the next
+and kicks and drifts them in place of the fields, so an attempt costs three
+real transforms: u_hat back, for h(u) and the growth check; h(u) forward,
+for the closing kick and the next opening one; and v_hat back, for the
+growth check.  `step` is the public one-step wrapper on a `WaveState`: it
+kicks in physical space and drifts through the flow kernel that
+`dwlab.linear.propagate` wraps, four transforms a step.  Both drifts run
+through `dwlab.linear._flow_hat`.  Blow-up is detected operationally: |u|
+above `BLOWUP_THRESHOLD`, non-finite values, or the step halving below
+`DT_MIN`.  True nonexistence is asymptotic and the detected time is an
+upper proxy for the lifespan, not a sharp estimate.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ import numpy as np
 
 from .grid import GridError, GridField, WaveState, half_spectrum, hdot_norm, lp_norm, sobolev_norm
 # propagate is unused here, but perfbench/selftest.py checks that its tracer patches this binding
-from .linear import _flow, multipliers, propagate  # noqa: F401
+from .linear import _flow, _flow_hat, multipliers, propagate  # noqa: F401
 
 __all__ = [
     "BLOWUP_THRESHOLD",
@@ -114,6 +121,27 @@ def step(state, h_u, dt, nonlinearity):
     return WaveState(state.time + dt, GridField(spec, u), GridField(spec, v)), h_new
 
 
+def _carried_step(half, carried, time, dt, nonlinearity):
+    """One Strang step from `time` of the half-spectra `carried` =
+    (u_hat, v_hat, h_hat) of (u, u_t, h(u)) on the grid of `half`.
+
+    Returns the new arrays u and u_t and the new state's carried triple.
+    The triple passed in is left as it was, so a rejected attempt retries
+    from it.  Raises BlowupSignal if h(u) is not finite, before its
+    transform spreads the bad value over every mode; u and u_t are the
+    caller's to check.
+    """
+    u_hat, v_hat, h_hat = carried
+    u_hat, v_hat = _flow_hat(half.spec, u_hat, v_hat + 0.5 * dt * h_hat, dt)
+    u = half.inverse(u_hat)
+    h_u = nonlinearity.h_eval(u)
+    if not np.isfinite(h_u).all():
+        raise BlowupSignal(time)
+    h_hat = half.forward(h_u)
+    v_hat += 0.5 * dt * h_hat
+    return u, half.inverse(v_hat), (u_hat, v_hat, h_hat)
+
+
 def xnorm_weight(t, dimension, norms):
     """The time-weighted sum tracked by the solution-space norm, from the
     norms "L2", "H1dot" (= |grad u|_{L2}) and "Linf" of u at time t:
@@ -131,11 +159,11 @@ def _xnorm_norms(u):
     return {"L2": lp_norm(u, 2), "Linf": lp_norm(u, np.inf), "H1dot": hdot_norm(u, 1)}
 
 
-def _record(traj_norms, state, dimension):
-    norms = {"L1": lp_norm(state.u, 1), **_xnorm_norms(state.u)}
+def _record(traj_norms, time, u, dimension):
+    norms = {"L1": lp_norm(u, 1), **_xnorm_norms(u)}
     for key, value in norms.items():
         traj_norms[key].append(value)
-    return xnorm_weight(state.time, dimension, norms)
+    return xnorm_weight(time, dimension, norms)
 
 
 def evolve(config):
@@ -145,47 +173,52 @@ def evolve(config):
     step (growth control near blow-up); a step below DT_MIN is reported
     as StepCollapse with the last reliable time.
     """
-    n = config.grid.dimension
-    state = config.data
-    h_u = config.nonlinearity.h_eval(state.u.values)
+    spec, n = config.grid, config.grid.dimension
+    half = half_spectrum(spec)
+    time, u, v = config.data.time, config.data.u.values, config.data.v.values
+    h_u = config.nonlinearity.h_eval(u)
     if not np.isfinite(h_u).all():
         raise ValueError("the forcing h(u) of the initial data is not finite")
+    carried = (half.forward(u), half.forward(v), half.forward(h_u))
     # max|u| + max|v| of the state stepped from, measured once per accepted step
-    size = float(np.max(np.abs(state.u.values)) + np.max(np.abs(state.v.values)))
+    size = float(np.max(np.abs(u)) + np.max(np.abs(v)))
     dt = config.dt
-    times = [state.time]
+    times = [time]
     norms = {key: [] for key in ("L1", "L2", "Linf", "H1dot")}
-    xrun = [_record(norms, state, n)]
-    u_samples = [state.u.values.copy()] if config.keep_fields else []
+    xrun = [_record(norms, time, config.data.u, n)]
+    u_samples = [u.copy()] if config.keep_fields else []
     sample_dt = config.dt * config.sample_stride
-    next_sample = state.time + sample_dt
+    next_sample = time + sample_dt
     outcome, t_est = Outcome.COMPLETED, math.inf
 
-    while state.time < config.t_max - 1e-12:
-        dt_step = min(dt, config.t_max - state.time, next_sample - state.time)
+    while time < config.t_max - 1e-12:
+        dt_step = min(dt, config.t_max - time, next_sample - time)
         try:
-            candidate, h_candidate = step(state, h_u, dt_step, config.nonlinearity)
+            u, v, candidate = _carried_step(half, carried, time, dt_step, config.nonlinearity)
+            # a max is NaN or inf exactly when its field holds a non-finite value
+            sup_after, sup_v = float(np.max(np.abs(u))), float(np.max(np.abs(v)))
+            if not (math.isfinite(sup_after) and math.isfinite(sup_v)):
+                raise BlowupSignal(time)
         except BlowupSignal:
-            outcome, t_est = Outcome.BLEW_UP, state.time
+            outcome, t_est = Outcome.BLEW_UP, time
             break
-        sup_after = float(np.max(np.abs(candidate.u.values)))
-        size_after = sup_after + float(np.max(np.abs(candidate.v.values)))
+        size_after = sup_after + sup_v
         if size_after > 2.0 * max(size, 1e-14) and dt_step > DT_MIN:
             dt = 0.5 * dt_step
             if dt < DT_MIN:
-                outcome, t_est = Outcome.STEP_COLLAPSE, state.time
+                outcome, t_est = Outcome.STEP_COLLAPSE, time
                 break
             continue
-        state, h_u, size = candidate, h_candidate, size_after
+        carried, size, time = candidate, size_after, time + dt_step
         if sup_after > BLOWUP_THRESHOLD:
-            outcome, t_est = Outcome.BLEW_UP, state.time
+            outcome, t_est = Outcome.BLEW_UP, time
             break
-        if state.time >= next_sample - 1e-12 or state.time >= config.t_max - 1e-12:
-            times.append(state.time)
-            xrun.append(max(xrun[-1], _record(norms, state, n)))
+        if time >= next_sample - 1e-12 or time >= config.t_max - 1e-12:
+            times.append(time)
+            xrun.append(max(xrun[-1], _record(norms, time, GridField(spec, u), n)))
             if config.keep_fields:
-                u_samples.append(state.u.values.copy())
-            while next_sample <= state.time + 1e-12:
+                u_samples.append(u.copy())
+            while next_sample <= time + 1e-12:
                 next_sample += sample_dt
 
     return Trajectory(

@@ -65,8 +65,7 @@ _USER_ERRORS = [
 ] + [
     # NaN compares false with every bound, so each check must be written lo < x < inf
     pytest.param(command, {key: "nan"}, "", id=f"{key}=nan-{command}")
-    for command, key in (("run", "L"), ("run", "dt"), ("linear", "L"), ("certificate", "L"),
-                         ("certificate", "r0"))
+    for command, key in (("run", "L"), ("run", "dt"), ("linear", "L"), ("certificate", "L"))
 ] + [
     # a bad data parameter is reported by its config key
     pytest.param(command, {key: "nan"}, key, id=f"{key}=nan-{command}")
@@ -79,6 +78,10 @@ _USER_ERRORS = [
     for command, key, value in (("run", "t_max", "nan"), ("linear", "t_max", "nan"),
                                 ("certificate", "R", "nan"), ("linear", "t_max", "-5"),
                                 ("linear", "t_max", "0.5"))
+] + [
+    # r0 is checked with the horizon, before the run and its output directory
+    pytest.param("certificate", {"r0": value}, "r0", id=f"r0={value}-certificate")
+    for value in ("nan", "0", "-1")
 ] + [
     # a log-family p whose mu(s*) is not a normal double is named by its value
     pytest.param("run", {"modulus": "invlog:p=800"}, "800", id="invlog:p=800-run"),
@@ -109,6 +112,7 @@ def test_user_errors_are_one_line(tmp_path, capsys, command, overrides, named):
         argv = [command, "--config", _write_config(tmp_path, f"{command}.cfg", **cfg),
                 "--out", str(tmp_path / "out")]
     assert named in _assert_one_line_usage_error(capsys, argv)
+    assert not (tmp_path / "out").exists()
 
 
 # -- classify ---------------------------------------------------------

@@ -104,6 +104,16 @@ def test_eval_at_zero_is_zero():
         assert mu(0.0) == 0.0
 
 
+def test_eval_propagates_nan():
+    # a NaN argument gives NaN, not the mu(0) = 0 of a zero field, so a NaN
+    # in u reaches the forcing and the stepper reports it
+    for mu in _entries():
+        out = mu.eval(np.array([0.0, np.nan, 0.25, 2.0]))
+        assert np.isnan(out[1]) and np.all(np.isfinite(out[[0, 2, 3]]))
+        assert np.isnan(mu(np.nan))
+        assert np.isnan(Nonlinearity(mu, 1).h_eval(np.nan))
+
+
 def test_eval_rejects_negative():
     with pytest.raises(ModulusError):
         catalog_make("power", p=1.0).eval(-0.5)

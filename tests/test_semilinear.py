@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from dwlab import semilinear
-from dwlab.grid import GridError, GridField, GridSpec, WaveState
+from dwlab.grid import GridError, GridField, GridSpec, WaveState, half_spectrum
 from dwlab.linear import propagate
 from dwlab.modulus import Nonlinearity, PowerForcing, catalog_make
 from dwlab.semilinear import (
@@ -29,17 +29,21 @@ class ZeroForcing:
 
 
 class InfAtCall:
-    """A wrapped nonlinearity whose h is infinite from its `call`-th evaluation on."""
+    """A wrapped nonlinearity whose h is infinite, everywhere or at one grid
+    `point`, from its `call`-th evaluation on."""
 
-    def __init__(self, inner, call):
+    def __init__(self, inner, call, point=...):
         self.inner = inner
         self.call = call
+        self.point = point
         self.calls = 0
 
     def h_eval(self, s):
         self.calls += 1
         out = self.inner.h_eval(s)
-        return np.full_like(out, np.inf) if self.calls >= self.call else out
+        if self.calls >= self.call:
+            out[self.point] = np.inf
+        return out
 
 
 class CountingForcing:
@@ -105,16 +109,9 @@ def test_infinite_forcing_signals_blowup_at_attempt_start():
         step(data, h_u, 0.125, forcing)
     assert caught.value.time == data.time
 
-    # h(u(0)) is call 1, so attempt k evaluates call k + 1 and starts at (k - 1) dt
-    dt = 0.125
-    cfg = EvolveConfig(grid=spec, nonlinearity=InfAtCall(PowerForcing(1.5), call=6),
-                       data=data, dt=dt, t_max=5.0, keep_fields=False)
-    traj = evolve(cfg)
-    assert traj.outcome == Outcome.BLEW_UP
-    assert traj.t_est == 4 * dt
     # an infinite h(u) of the data itself is an error, not a blow-up time
     cfg = EvolveConfig(grid=spec, nonlinearity=InfAtCall(PowerForcing(1.5), call=1),
-                       data=data, dt=dt, t_max=5.0)
+                       data=data, dt=0.125, t_max=5.0)
     with pytest.raises(ValueError, match="initial data"):
         evolve(cfg)
 
@@ -149,6 +146,45 @@ def test_step_order_two_convergence():
         assert 3.5 < coarse / fine < 4.5
 
 
+@pytest.mark.parametrize("point", [..., 200], ids=["everywhere", "one-point"])
+@pytest.mark.parametrize("call", [2, 3, 6, 12])
+def test_evolve_reports_an_infinite_forcing_at_its_attempt(point, call):
+    # evolve carries the spectrum of h(u), in which one bad value spreads to
+    # every mode; h(u(0)) is call 1, so call k belongs to the attempt that
+    # starts at (k - 2) dt
+    spec = _spec()
+    data = make_data(spec, amplitude=0.5, width=2.0)
+    dt = 0.125
+    cfg = EvolveConfig(grid=spec, nonlinearity=InfAtCall(PowerForcing(1.5), call, point),
+                       data=data, dt=dt, t_max=5.0, keep_fields=False)
+    traj = evolve(cfg)
+    assert traj.outcome == Outcome.BLEW_UP
+    assert traj.t_est == (call - 2) * dt
+
+
+def test_evolve_takes_three_transforms_per_step(monkeypatch):
+    spec = _spec()
+    nl = Nonlinearity(catalog_make("invlog", p=2.0), 1)
+    data = make_data(spec, amplitude=0.5, width=2.0)
+    dt, steps, stride = 0.125, 40, 8  # a binary dt: no step is clipped, none is rejected
+    cfg = EvolveConfig(grid=spec, nonlinearity=nl, data=data, dt=dt, t_max=steps * dt,
+                       sample_stride=stride, keep_fields=False)
+    counts = dict.fromkeys(("rfftn", "irfftn"), 0)
+    for name in counts:
+        def counted(*args, _name=name, _transform=getattr(np.fft, name), **kwargs):
+            counts[_name] += 1
+            return _transform(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    traj = evolve(cfg)
+    assert traj.outcome == Outcome.COMPLETED
+    samples = len(traj.times)
+    assert samples == steps // stride + 1
+    # set-up: u, v and h(u) forward; a sample: |u|_{H1dot} forward; a step:
+    # h(u) forward, u and v back
+    assert counts["rfftn"] == 3 + samples + steps
+    assert counts["irfftn"] == 2 * steps
+
+
 def test_evolve_evaluates_forcing_once_per_step(monkeypatch):
     spec = _spec()
     forcing = CountingForcing(Nonlinearity(catalog_make("invlog", p=2.0), 1))
@@ -156,52 +192,76 @@ def test_evolve_evaluates_forcing_once_per_step(monkeypatch):
     dt, steps = 0.125, 40  # a binary dt: every time sum is exact and no step is clipped
     cfg = EvolveConfig(grid=spec, nonlinearity=forcing, data=data, dt=dt,
                        t_max=steps * dt, sample_stride=8)
+    core = semilinear._carried_step
     returned = []
 
     def recording(*args):
-        out = step(*args)
-        returned.append(out[0])
+        out = core(*args)
+        returned.append(out)
         return out
 
-    monkeypatch.setattr(semilinear, "step", recording)
+    monkeypatch.setattr(semilinear, "_carried_step", recording)
     traj = evolve(cfg)
     assert traj.outcome == Outcome.COMPLETED
     assert forcing.calls == steps + 1
     assert len(returned) == steps
-    assert np.array_equal(returned[-1].u.values, traj.u_samples[-1])
+    u_end, v_end, _ = returned[-1]
+    assert np.array_equal(u_end, traj.u_samples[-1])
 
-    state, h_u = data, forcing.h_eval(data.u.values)
+    # evolve is a loop of the core, bit for bit
+    half, nl = half_spectrum(spec), forcing.inner
+    carried = tuple(half.forward(f) for f in (data.u.values, data.v.values, nl.h_eval(data.u.values)))
+    for k in range(steps):
+        u, v, carried = core(half, carried, k * dt, dt, nl)
+    assert np.array_equal(u, u_end)
+    assert np.array_equal(v, v_end)
+
+    # a loop of the public step agrees up to round-off
+    state, h_u = data, nl.h_eval(data.u.values)
     for _ in range(steps):
-        state, h_u = step(state, h_u, dt, forcing)
+        state, h_u = step(state, h_u, dt, nl)
     assert traj.times[-1] == state.time
-    assert np.max(np.abs(traj.u_samples[-1] - state.u.values)) <= 1e-14 * np.max(np.abs(state.u.values))
-    assert np.max(np.abs(returned[-1].v.values - state.v.values)) <= 1e-14 * np.max(np.abs(state.v.values))
+    assert np.max(np.abs(u_end - state.u.values)) <= 1e-14 * np.max(np.abs(state.u.values))
+    # step takes v back to the grid and forward again every step, where the
+    # core keeps v_hat.  Each round trip of a length-N real transform moves v
+    # by O(eps log2 N) of max|v| and the damped flow does not amplify it, so
+    # the loops part by at most steps * eps * log2 N of max|v|
+    v_max = np.max(np.abs(state.v.values))
+    assert np.max(np.abs(v_end - state.v.values)) <= steps * np.finfo(float).eps * math.log2(spec.points) * v_max
 
 
 def test_forcing_reuse_keeps_blowup_with_halved_steps(monkeypatch):
     spec = _spec()
     data = make_data(spec, amplitude=20.0, width=2.0)
-    plain_step = semilinear.step
+    core = semilinear._carried_step
 
     def run(step_fn):
-        attempts = []
+        attempts, snapshots = [], []
 
-        def traced(state, h_u, dt, nonlinearity):
-            attempts.append(state)
-            return step_fn(state, h_u, dt, nonlinearity)
+        def traced(half, carried, time, dt, nonlinearity):
+            attempts.append(carried)
+            snapshots.append([a.copy() for a in carried])
+            return step_fn(half, carried, time, dt, nonlinearity)
 
-        monkeypatch.setattr(semilinear, "step", traced)
+        monkeypatch.setattr(semilinear, "_carried_step", traced)
         forcing = CountingForcing(PowerForcing(1.5))
         cfg = EvolveConfig(grid=spec, nonlinearity=forcing, data=data, dt=0.1,
                            t_max=50.0, keep_fields=False)
         traj = evolve(cfg)
+        # no attempt, rejected or not, changes the arrays it started from
+        for carried, snapshot in zip(attempts, snapshots):
+            assert all(np.array_equal(a, b) for a, b in zip(carried, snapshot))
         rejected = sum(a is b for a, b in zip(attempts, attempts[1:]))
         return traj, forcing.calls, len(attempts), rejected
 
-    reused, calls, attempts, rejected = run(plain_step)
-    # recompute h(u) at every attempt instead of taking the one evolve passes
-    fresh, fresh_calls, fresh_attempts, _ = run(
-        lambda s, h_u, dt, nl: plain_step(s, nl.h_eval(s.u.values), dt, nl))
+    reused, calls, attempts, rejected = run(core)
+
+    # recompute h(u) at every attempt instead of carrying the spectrum evolve passes
+    def fresh_step(half, carried, time, dt, nl):
+        u_hat, v_hat, _ = carried
+        return core(half, (u_hat, v_hat, half.forward(nl.h_eval(half.inverse(u_hat)))), time, dt, nl)
+
+    fresh, fresh_calls, fresh_attempts, _ = run(fresh_step)
     assert rejected >= 2
     assert reused.outcome == fresh.outcome == Outcome.BLEW_UP
     assert reused.t_est == fresh.t_est
