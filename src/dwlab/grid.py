@@ -5,9 +5,10 @@ nothing reaches the boundary within the simulated horizon (the damped
 wave equation has unit propagation speed).  Norms are Riemann sums with
 cell weight dx^n, which is spectrally accurate for smooth periodic data.
 
-Fields are real, so every spectral computation runs on the rfftn
+Fields are real, so every spectral computation runs on the real-FFT
 half-spectrum of its grid (`half_spectrum(spec)`): the spectral norms,
-the gradient and, in `dwlab.linear`, the exact linear flow.
+the gradient and, in `dwlab.linear`, the exact linear flow.  Its transform
+pair is `rfft`/`irfft` on a 1-d grid and `rfftn`/`irfftn` on a 2-d one.
 """
 
 from __future__ import annotations
@@ -139,14 +140,13 @@ class WaveState:
 
 
 class HalfSpectrum:
-    """The rfftn layout of one grid: |xi|^2, the real transform pair and the
+    """The real-FFT layout of one grid: |xi|^2, the real transform pair and the
     Parseval sum.  Its column weights on the last axis are 1 for the DC and
     Nyquist columns and 2 for the others, which also stand for their complex-
     conjugate partners.  Get one per grid from `half_spectrum(spec)`."""
 
     def __init__(self, spec):
         self.spec = spec
-        self.axes = tuple(range(spec.dimension))
         k_axes = spec._axis_wavenumbers(np.fft.rfftfreq)
         self.xi_sq = sum(k ** 2 for k in k_axes)
         self.weights = np.full(spec.points // 2 + 1, 2.0)
@@ -157,11 +157,18 @@ class HalfSpectrum:
         for array in (self.xi_sq, self.weights, *self.gradient_wavenumbers):
             array.flags.writeable = False  # shared by every user of the grid
 
+    # A 1-d grid calls rfft/irfft, which skip rfftn's n-d argument handling
+    # before the same pocketfft call.  The functions are looked up on np.fft
+    # at each call, so a patched numpy.fft attribute is seen by every grid.
     def forward(self, values):
-        return np.fft.rfftn(values, axes=self.axes)
+        if self.spec.dimension == 1:
+            return np.fft.rfft(values)
+        return np.fft.rfftn(values, axes=(0, 1))
 
     def inverse(self, coeffs):
-        return np.fft.irfftn(coeffs, s=self.spec.shape, axes=self.axes)
+        if self.spec.dimension == 1:
+            return np.fft.irfft(coeffs, self.spec.points)
+        return np.fft.irfftn(coeffs, s=self.spec.shape, axes=(0, 1))
 
     def parseval(self, coeffs, weight=1.0):
         """Full-spectrum sum of |coeffs|^2 * weight, scaled so that weight 1
@@ -178,16 +185,23 @@ def half_spectrum(spec):
 
 
 def lp_norm(field, p):
-    """L^p norm by Riemann sum; p may be any real >= 1 or inf."""
+    """L^p norm by Riemann sum; p may be any real >= 1 or inf.
+
+    A non-finite value is reported by its index.  It makes the reduction
+    non-finite, so the values are scanned only then; finite values whose
+    power overflows give inf."""
     vals = field.values
-    if not np.all(np.isfinite(vals)):
-        bad = tuple(int(i) for i in np.argwhere(~np.isfinite(vals))[0])
-        raise GridError(f"non-finite value at index {bad}")
     if p == np.inf or p == "inf":
-        return float(np.max(np.abs(vals)))
-    if p < 1:
+        norm = float(np.max(np.abs(vals)))
+    elif p < 1:
         raise GridError(f"p must be >= 1, got {p}")
-    return float((np.sum(np.abs(vals) ** p) * field.spec.cell) ** (1.0 / p))
+    else:
+        norm = float((np.sum(np.abs(vals) ** p) * field.spec.cell) ** (1.0 / p))
+    if not math.isfinite(norm):
+        bad = np.argwhere(~np.isfinite(vals))
+        if bad.size:
+            raise GridError(f"non-finite value at index {tuple(int(i) for i in bad[0])}")
+    return norm
 
 
 def spectral_gradient(field):

@@ -25,6 +25,7 @@ conditions that decide between global existence and blow-up:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -163,6 +164,25 @@ class Modulus:
             inner = inner + c * partial / P
         return self._raw(s) * ((S * S + inner) - S) / s ** 2
 
+    @functools.cached_property
+    def _continuation(self):
+        """(mu(s*), mu'(s*)), the value and slope of the linear continuation,
+        computed on first use and kept for the life of the modulus."""
+        sst = self.continuation_point
+        return self._raw(sst), self._raw_deriv(sst, 1)
+
+    def _eval_nonneg(self, s):
+        """mu on a float array s >= 0; a NaN argument gives NaN."""
+        sst = self.continuation_point
+        # every formula gives mu(0) = 0, the log families through log(0) = -inf
+        with np.errstate(divide="ignore"):
+            out = self._raw(np.minimum(s, sst))
+        outer = s > sst
+        if outer.any():
+            mu_star, slope = self._continuation
+            out = np.where(outer, mu_star + slope * (s - sst), out)
+        return out
+
     # -- public evaluation --------------------------------------------
 
     def eval(self, s):
@@ -173,13 +193,7 @@ class Modulus:
         s = np.atleast_1d(s)
         if np.any(s < 0):
             raise ModulusError("modulus argument must be non-negative")
-        sst = self.continuation_point
-        # every formula gives mu(0) = 0, the log families through log(0) = -inf
-        with np.errstate(divide="ignore"):
-            out = self._raw(np.minimum(s, sst))
-        outer = s > sst
-        if outer.any():
-            out = np.where(outer, self._raw(sst) + self._raw_deriv(sst, 1) * (s - sst), out)
+        out = self._eval_nonneg(s)
         return out[0] if scalar else out
 
     def __call__(self, s):
@@ -200,8 +214,7 @@ class Modulus:
         if inner.any():
             out[inner] = self._raw_deriv(s[inner], k)
         if outer.any():
-            sst = self.continuation_point
-            out[outer] = self._raw_deriv(sst, 1) if k == 1 else 0.0
+            out[outer] = self._continuation[1] if k == 1 else 0.0
         return out[0] if scalar else out
 
     def eval_neglog(self, w):
@@ -384,8 +397,9 @@ class Nonlinearity:
         return 1.0 + 2.0 / self.dimension
 
     def h_eval(self, s):
+        # |s| is never negative, so mu's kernel runs without eval's checks
         a = np.abs(np.asarray(s, dtype=float))
-        return a ** self.exponent * self.modulus.eval(a)
+        return a ** self.exponent * self.modulus._eval_nonneg(a)
 
 
 class PowerForcing:
@@ -396,8 +410,8 @@ class PowerForcing:
     """
 
     def __init__(self, q):
-        if not q > 1.0:
-            raise ModulusError(f"power forcing exponent must exceed 1, got {q}")
+        if not 1.0 < q < math.inf:
+            raise ModulusError(f"power forcing exponent must be finite and exceed 1, got {q}")
         self.exponent = float(q)
 
     def h_eval(self, s):

@@ -7,18 +7,19 @@ The stepper is Strang splitting around the exact linear propagator:
     kick   v <- v + (dt/2) h(u)
 
 which is second order and inherits the linear decay structure exactly
-(h = 0 reduces to the exact flow).  `evolve` carries the rfft half-spectra
-(u_hat, v_hat, h_hat) of u, u_t and h(u) from one accepted step to the next
-and kicks and drifts them in place of the fields, so an attempt costs three
-real transforms: u_hat back, for h(u) and the growth check; h(u) forward,
-for the closing kick and the next opening one; and v_hat back, for the
-growth check.  `step` is the public one-step wrapper on a `WaveState`: it
-kicks in physical space and drifts through the flow kernel that
-`dwlab.linear.propagate` wraps, four transforms a step.  Both drifts run
-through `dwlab.linear._flow_hat`.  Blow-up is detected operationally: |u|
-above `BLOWUP_THRESHOLD`, non-finite values, or the step halving below
-`DT_MIN`.  True nonexistence is asymptotic and the detected time is an
-upper proxy for the lifespan, not a sharp estimate.
+(h = 0 reduces to the exact flow).  `evolve` carries the real-FFT
+half-spectra (u_hat, v_hat, h_hat) of u, u_t and h(u) from one accepted step
+to the next and kicks and drifts them in place of the fields, so an attempt
+costs three real transforms (`rfft`/`irfft` on a 1-d grid, `rfftn`/`irfftn`
+on a 2-d one, through `dwlab.grid.HalfSpectrum`): u_hat back, for h(u) and
+the growth check; h(u) forward, for the closing kick and the next opening
+one; and v_hat back, for the growth check.  `step` is the public one-step
+wrapper on a `WaveState`: it kicks in physical space and drifts through the
+flow kernel that `dwlab.linear.propagate` wraps, four transforms a step.
+Both drifts run through `dwlab.linear._flow_hat`.  Blow-up is detected
+operationally: |u| above `BLOWUP_THRESHOLD`, non-finite values, or the step
+halving below `DT_MIN`.  True nonexistence is asymptotic and the detected
+time is an upper proxy for the lifespan, not a sharp estimate.
 """
 
 from __future__ import annotations

@@ -86,6 +86,10 @@ _USER_ERRORS = [
     # a log-family p whose mu(s*) is not a normal double is named by its value
     pytest.param("run", {"modulus": "invlog:p=800"}, "800", id="invlog:p=800-run"),
 ] + [
+    # the oracle's exponent must be finite: q = inf is named by its value
+    pytest.param(command, {"modulus": "oracle:q=inf"}, "inf", id=f"oracle:q=inf-{command}")
+    for command in ("run", "certificate")
+] + [
     # a value the key's type cannot parse is reported by its config key
     pytest.param(command, {key: value}, key, id=f"{key}={value}-{command}")
     for command, key, value in (("run", "sample_stride", "1.5"), ("linear", "N", "1e3"),

@@ -14,6 +14,7 @@ from dwlab.grid import (
     GridSpec,
     WaveState,
     gn_check,
+    half_spectrum,
     hdot_norm,
     lp_norm,
     sobolev_norm,
@@ -80,6 +81,52 @@ def test_lp_norm_flags_nonfinite_with_index():
     f = GridField(spec, vals)
     with pytest.raises(GridError, match=r"\(7,\)"):
         lp_norm(f, 2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("p", [1, 2, 3.5, np.inf])
+def test_lp_norm_names_the_first_nonfinite_index(bad, p):
+    # the reduction of any p turns non-finite, and only then are the values scanned
+    spec = GridSpec(2, 1.0, 16)
+    vals = np.ones(spec.shape)
+    vals[3, 5] = vals[9, 2] = bad
+    with pytest.raises(GridError, match=r"non-finite value at index \(3, 5\)"):
+        lp_norm(GridField(spec, vals), p)
+
+
+def test_lp_norm_of_finite_values_makes_no_finiteness_pass(monkeypatch):
+    spec = GridSpec(1, 1.0, 64)
+    f = GridField(spec, np.linspace(-2.0, 3.0, spec.points))
+    expected = {p: float((np.sum(np.abs(f.values) ** p) * spec.cell) ** (1.0 / p))
+                for p in (1, 2, 3.5)}
+    expected[np.inf] = 3.0
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("lp_norm scanned finite values")
+
+    monkeypatch.setattr(np, "isfinite", no_scan)
+    for p, value in expected.items():
+        assert lp_norm(f, p) == value  # the same expression, bit for bit
+
+
+def test_lp_norm_overflow_of_finite_values_is_inf():
+    # finite values whose power overflows give inf, not a non-finite-value error
+    spec = GridSpec(1, 1.0, 32)
+    f = GridField(spec, np.full(spec.shape, 1e200))
+    with np.errstate(over="ignore"):
+        assert lp_norm(f, 2) == math.inf
+    assert lp_norm(f, np.inf) == 1e200
+
+
+@pytest.mark.parametrize("points", [16, 512, 4096])
+def test_half_spectrum_1d_pair_matches_rfftn(points):
+    # a 1-d grid calls rfft/irfft directly; their output is rfftn's bit for bit
+    spec = GridSpec(1, 10.0, points)
+    half = half_spectrum(spec)
+    values = np.random.default_rng(points).standard_normal(spec.shape)
+    coeffs = half.forward(values)
+    assert np.array_equal(coeffs, np.fft.rfftn(values, axes=(0,)))
+    assert np.array_equal(half.inverse(coeffs), np.fft.irfftn(coeffs, s=spec.shape, axes=(0,)))
 
 
 @pytest.mark.parametrize("spec", [GridSpec(1, 5.0, 256), GridSpec(2, 5.0, 64)], ids=["1d", "2d"])

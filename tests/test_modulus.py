@@ -119,6 +119,54 @@ def test_eval_rejects_negative():
         catalog_make("power", p=1.0).eval(-0.5)
 
 
+def _h_eval_points(s_star):
+    """0, a subnormal, both signs, NaN and, for a finite s*, s* with its
+    neighbours and points past it."""
+    points = [0.0, 5e-324, -1e-300, 1e-3, -0.25, np.nan]
+    if math.isfinite(s_star):
+        points += [s_star, np.nextafter(s_star, -np.inf), np.nextafter(s_star, np.inf),
+                   -s_star, 2.0 * s_star, 1.0, 7.5]
+    return np.array(points)
+
+
+def test_h_eval_is_the_power_times_eval(tmp_path):
+    # h_eval runs mu's kernel without eval's checks; every output bit is the
+    # one the public expression |s|^e mu(|s|) gives, on arrays and scalars
+    moduli = _entries() + [catalog_make("iterlog", p=1.0, depth=depth) for depth in (2, 3)]
+    for mu in moduli + [_kinked(tmp_path)]:
+        for n in (1, 2):
+            h = Nonlinearity(mu, n)
+            s = _h_eval_points(mu.continuation_point)
+            expected = np.abs(s) ** h.exponent * mu.eval(np.abs(s))
+            assert np.array_equal(h.h_eval(s), expected, equal_nan=True)
+            assert np.array_equal(h.h_eval(s.reshape(1, -1)), expected[None, :], equal_nan=True)
+            for point in s:
+                # numpy's scalar power may round apart from its array loop by
+                # an ulp, so a scalar is held to the scalar expression
+                a = abs(np.float64(point))
+                out = h.h_eval(float(point))
+                assert type(out) is np.float64
+                assert np.array_equal(out, a ** h.exponent * mu.eval(a), equal_nan=True)
+
+
+def test_h_eval_builds_the_continuation_once(monkeypatch):
+    mu = catalog_make("invlog", p=2.0)
+    h = Nonlinearity(mu, 1)
+    s = np.linspace(0.0, 4.0 * mu.continuation_point, 64)  # most points past s*
+    calls = []
+    raw_deriv = Modulus._raw_deriv
+
+    def counted(self, *args):
+        calls.append(args)
+        return raw_deriv(self, *args)
+
+    monkeypatch.setattr(Modulus, "_raw_deriv", counted)
+    first = h.h_eval(s)
+    for _ in range(99):
+        assert np.array_equal(h.h_eval(s), first)
+    assert len(calls) <= 1
+
+
 # -- derivatives ------------------------------------------------------
 
 
@@ -388,6 +436,13 @@ def test_power_forcing_oracle():
     assert pf.h_eval(4.0) == pytest.approx(8.0, rel=1e-14)
     with pytest.raises(ModulusError):
         PowerForcing(1.0)
+
+
+@pytest.mark.parametrize("q", [math.inf, math.nan, 1.0, -math.inf])
+def test_power_forcing_needs_a_finite_exponent_above_one(q):
+    # q = inf would make h vanish below |s| = 1 and overflow above it
+    with pytest.raises(ModulusError, match=str(q)):
+        PowerForcing(q)
 
 
 # -- spec strings and custom tables -----------------------------------
