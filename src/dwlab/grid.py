@@ -185,13 +185,13 @@ def half_spectrum(spec):
 
 
 def lp_norm(field, p):
-    """L^p norm by Riemann sum; p may be any real >= 1 or inf.
+    """L^p norm by Riemann sum; p may be any real >= 1 or np.inf.
 
     A non-finite value is reported by its index.  It makes the reduction
     non-finite, so the values are scanned only then; finite values whose
     power overflows give inf."""
     vals = field.values
-    if p == np.inf or p == "inf":
+    if p == np.inf:
         norm = float(np.max(np.abs(vals)))
     elif p < 1:
         raise GridError(f"p must be >= 1, got {p}")
@@ -202,6 +202,15 @@ def lp_norm(field, p):
         if bad.size:
             raise GridError(f"non-finite value at index {tuple(int(i) for i in bad[0])}")
     return norm
+
+
+def _sample_norms(half, u, u_hat):
+    """The norms of one trajectory sample: L1, L2 and Linf of the array u by
+    Riemann sum, and H1dot = |grad u|_{L2} by Parseval from its half-spectrum
+    u_hat on the grid of `half`, so a caller that holds u_hat runs no transform."""
+    field = GridField(half.spec, u)
+    return {"L1": lp_norm(field, 1), "L2": lp_norm(field, 2), "Linf": lp_norm(field, np.inf),
+            "H1dot": math.sqrt(half.parseval(u_hat, half.xi_sq))}
 
 
 def spectral_gradient(field):

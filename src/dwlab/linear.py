@@ -15,10 +15,10 @@ derivatives follow from the exact identities dK0 = -|xi|^2 K1 and
 dK1 = K0 - K1.
 
 The flow runs on the grid's rfft half-spectrum (`dwlab.grid.half_spectrum`):
-`_flow_hat` applies the last few (grid, dt) multipliers, kept in a cache, to
-half-spectra; the split-step stepper's loop calls it directly and `_flow`,
-under `propagate` and `step`, wraps it in the transform pairs.
-`linear_norm_series` advances sample to sample.
+`_flow_hat(K, u_hat, v_hat)` applies the multipliers K it is given to
+half-spectra.  The stepper's loop and `_flow` (under `propagate` and `step`)
+pass the last few (grid, dt) multipliers, kept in a cache;
+`linear_norm_series` builds its own for each gap between samples.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridField, WaveState, half_spectrum, lp_norm
+from .grid import GridField, WaveState, _sample_norms, half_spectrum
 
 __all__ = [
     "multipliers",
@@ -112,16 +112,17 @@ def _flow_multipliers(spec, dt):
     return found
 
 
-def _flow_hat(spec, u_hat, v_hat, dt):
-    """The half-spectra of (u, u_t) advanced by dt > 0 under the exact linear flow."""
-    K0, K1, dK0, dK1 = _flow_multipliers(spec, dt)
+def _flow_hat(K, u_hat, v_hat):
+    """The half-spectra of (u, u_t) advanced under the exact linear flow whose
+    multipliers over the step are K = (K0, K1, dK0, dK1)."""
+    K0, K1, dK0, dK1 = K
     return K0 * u_hat + K1 * v_hat, dK0 * u_hat + dK1 * v_hat
 
 
 def _flow(spec, u, v, dt):
     """The arrays (u, u_t) advanced by dt > 0 under the exact linear flow, unchecked."""
     half = half_spectrum(spec)
-    u_hat, v_hat = _flow_hat(spec, half.forward(u), half.forward(v), dt)
+    u_hat, v_hat = _flow_hat(_flow_multipliers(spec, dt), half.forward(u), half.forward(v))
     return half.inverse(u_hat), half.inverse(v_hat)
 
 
@@ -145,33 +146,30 @@ def linear_norm_series(state, times):
     """Norm diagnostics of the linear flow at the requested times.
 
     The spectra of (u, u_t) advance from sample to sample (the exact flow
-    is a semigroup), so each sample costs one multiplier build and one
-    inverse transform, for L1/L2/Linf; H1dot and the energy
-    E = 1/2 |u_t|_{L2}^2 + 1/2 |grad u|_{L2}^2 come from Parseval sums.
+    is a semigroup) by multipliers built per gap, outside the stepper's
+    cache.  A sample costs one inverse transform for its norms; the energy
+    E = 1/2 |u_t|_{L2}^2 + 1/2 |grad u|_{L2}^2 adds one Parseval sum.
     """
     times = np.asarray(times, dtype=float)
-    if not np.all(np.isfinite(times)) or np.any(np.diff(times) <= 0) \
-            or times[0] < state.time:
-        raise ValueError("times must be finite, increasing and start at or after the state time")
+    if times.ndim != 1 or not times.size or not np.all(np.isfinite(times)) \
+            or np.any(np.diff(times) <= 0) or times[0] < state.time:
+        raise ValueError("times must be a non-empty 1-d sequence, finite, increasing and "
+                         "start at or after the state time")
     if not (state.u.is_finite() and state.v.is_finite()):
         raise ValueError("cannot propagate a non-finite state")
-    spec = state.spec
-    half = half_spectrum(spec)
+    half = half_spectrum(state.spec)
     u_hat, v_hat = half.forward(state.u.values), half.forward(state.v.values)
-    out = {key: [] for key in ("L1", "L2", "Linf", "H1dot", "energy")}
+    samples = []
     for t_prev, t in zip([state.time, *times], times):
-        K0, K1, dK0, dK1 = multipliers(half.xi_sq, t - t_prev)
-        u_hat, v_hat = K0 * u_hat + K1 * v_hat, dK0 * u_hat + dK1 * v_hat
-        grad_sq = half.parseval(u_hat, half.xi_sq)
-        energy = 0.5 * half.parseval(v_hat) + 0.5 * grad_sq
-        if not math.isfinite(energy):
+        # K stays bound until the next build, so its pages are not returned to the OS per sample
+        K = multipliers(half.xi_sq, t - t_prev)
+        u_hat, v_hat = _flow_hat(K, u_hat, v_hat)
+        norms = _sample_norms(half, half.inverse(u_hat), u_hat)
+        norms["energy"] = 0.5 * half.parseval(v_hat) + 0.5 * norms["H1dot"] ** 2
+        if not math.isfinite(norms["energy"]):
             raise ValueError(f"linear flow to t={t} produced non-finite norms")
-        u = GridField(spec, half.inverse(u_hat))
-        for key, p in (("L1", 1), ("L2", 2), ("Linf", np.inf)):
-            out[key].append(lp_norm(u, p))
-        out["H1dot"].append(math.sqrt(grad_sq))
-        out["energy"].append(energy)
-    return {"t": times.copy(), **{key: np.asarray(vals) for key, vals in out.items()}}
+        samples.append(norms)
+    return {"t": times.copy(), **{key: np.array([s[key] for s in samples]) for key in samples[0]}}
 
 
 @dataclass

@@ -13,25 +13,29 @@ to the next and kicks and drifts them in place of the fields, so an attempt
 costs three real transforms (`rfft`/`irfft` on a 1-d grid, `rfftn`/`irfftn`
 on a 2-d one, through `dwlab.grid.HalfSpectrum`): u_hat back, for h(u) and
 the growth check; h(u) forward, for the closing kick and the next opening
-one; and v_hat back, for the growth check.  `step` is the public one-step
+one; and v_hat back, for the growth check.  A sample takes its norms from
+u and the carried u_hat, with no transform.  `step` is the public one-step
 wrapper on a `WaveState`: it kicks in physical space and drifts through the
 flow kernel that `dwlab.linear.propagate` wraps, four transforms a step.
-Both drifts run through `dwlab.linear._flow_hat`.  Blow-up is detected
-operationally: |u| above `BLOWUP_THRESHOLD`, non-finite values, or the step
-halving below `DT_MIN`.  True nonexistence is asymptotic and the detected
+Both drifts run through `dwlab.linear._flow_hat` with the cached
+multipliers of their (grid, dt).  Blow-up is detected operationally: |u|
+above `BLOWUP_THRESHOLD`, non-finite values, or the step halving below
+`DT_MIN`.  True nonexistence is asymptotic and the detected
 time is an upper proxy for the lifespan, not a sharp estimate.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grid import GridError, GridField, WaveState, half_spectrum, hdot_norm, lp_norm, sobolev_norm
+from .grid import (GridError, GridField, WaveState, _sample_norms, half_spectrum, lp_norm,
+                   sobolev_norm)
 # propagate is unused here, but perfbench/selftest.py checks that its tracer patches this binding
-from .linear import _flow, _flow_hat, multipliers, propagate  # noqa: F401
+from .linear import _flow, _flow_hat, _flow_multipliers, multipliers, propagate  # noqa: F401
 
 __all__ = [
     "BLOWUP_THRESHOLD",
@@ -81,8 +85,9 @@ class EvolveConfig:
         for name, value in (("dt", self.dt), ("t_max", self.t_max)):
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and exceed 0, got {value}")
-        if self.sample_stride < 1:
-            raise ValueError(f"sample_stride must be a positive integer, got {self.sample_stride}")
+        stride = self.sample_stride
+        if isinstance(stride, bool) or not isinstance(stride, numbers.Integral) or stride < 1:
+            raise ValueError(f"sample_stride must be a positive integer, got {stride}")
         if self.data.spec != self.grid:
             raise ValueError("data grid does not match configured grid")
 
@@ -94,14 +99,18 @@ class Trajectory:
     spec: "GridSpec"
     times: np.ndarray
     norms: dict
-    xnorm_running: np.ndarray
     outcome: str
     t_est: float
     u_samples: list = field(default_factory=list)
 
     @property
+    def xnorm_running(self):
+        """The running maximum of `xnorm_weight` over the samples."""
+        return np.maximum.accumulate(xnorm_weight(self.times, self.spec.dimension, self.norms))
+
+    @property
     def xnorm(self):
-        return float(self.xnorm_running[-1]) if len(self.xnorm_running) else 0.0
+        return float(self.xnorm_running[-1])
 
 
 def step(state, h_u, dt, nonlinearity):
@@ -133,7 +142,7 @@ def _carried_step(half, carried, time, dt, nonlinearity):
     caller's to check.
     """
     u_hat, v_hat, h_hat = carried
-    u_hat, v_hat = _flow_hat(half.spec, u_hat, v_hat + 0.5 * dt * h_hat, dt)
+    u_hat, v_hat = _flow_hat(_flow_multipliers(half.spec, dt), u_hat, v_hat + 0.5 * dt * h_hat)
     u = half.inverse(u_hat)
     h_u = nonlinearity.h_eval(u)
     if not np.isfinite(h_u).all():
@@ -145,7 +154,8 @@ def _carried_step(half, carried, time, dt, nonlinearity):
 
 def xnorm_weight(t, dimension, norms):
     """The time-weighted sum tracked by the solution-space norm, from the
-    norms "L2", "H1dot" (= |grad u|_{L2}) and "Linf" of u at time t:
+    norms "L2", "H1dot" (= |grad u|_{L2}) and "Linf" of u at time t, all
+    scalars or all arrays over samples:
 
     sum_{k=0,1} (1+t)^{(n+2k)/4} |grad^k u|_{L2} + (1+t)^{n/2} |u|_{Linf}.
     """
@@ -155,18 +165,6 @@ def xnorm_weight(t, dimension, norms):
             + (1.0 + t) ** (n / 2.0) * norms["Linf"])
 
 
-def _xnorm_norms(u):
-    """The norms of the field u that xnorm_weight combines."""
-    return {"L2": lp_norm(u, 2), "Linf": lp_norm(u, np.inf), "H1dot": hdot_norm(u, 1)}
-
-
-def _record(traj_norms, time, u, dimension):
-    norms = {"L1": lp_norm(u, 1), **_xnorm_norms(u)}
-    for key, value in norms.items():
-        traj_norms[key].append(value)
-    return xnorm_weight(time, dimension, norms)
-
-
 def evolve(config):
     """Advance to the horizon or until blow-up is detected.
 
@@ -174,8 +172,7 @@ def evolve(config):
     step (growth control near blow-up); a step below DT_MIN is reported
     as StepCollapse with the last reliable time.
     """
-    spec, n = config.grid, config.grid.dimension
-    half = half_spectrum(spec)
+    half = half_spectrum(config.grid)
     time, u, v = config.data.time, config.data.u.values, config.data.v.values
     h_u = config.nonlinearity.h_eval(u)
     if not np.isfinite(h_u).all():
@@ -185,8 +182,7 @@ def evolve(config):
     size = float(np.max(np.abs(u)) + np.max(np.abs(v)))
     dt = config.dt
     times = [time]
-    norms = {key: [] for key in ("L1", "L2", "Linf", "H1dot")}
-    xrun = [_record(norms, time, config.data.u, n)]
+    samples = [_sample_norms(half, u, carried[0])]
     u_samples = [u.copy()] if config.keep_fields else []
     sample_dt = config.dt * config.sample_stride
     next_sample = time + sample_dt
@@ -216,7 +212,7 @@ def evolve(config):
             break
         if time >= next_sample - 1e-12 or time >= config.t_max - 1e-12:
             times.append(time)
-            xrun.append(max(xrun[-1], _record(norms, time, GridField(spec, u), n)))
+            samples.append(_sample_norms(half, u, carried[0]))
             if config.keep_fields:
                 u_samples.append(u.copy())
             while next_sample <= time + 1e-12:
@@ -225,8 +221,7 @@ def evolve(config):
     return Trajectory(
         spec=config.grid,
         times=np.asarray(times),
-        norms={key: np.asarray(vals) for key, vals in norms.items()},
-        xnorm_running=np.asarray(xrun),
+        norms={key: np.array([s[key] for s in samples]) for key in samples[0]},
         outcome=outcome,
         t_est=t_est,
         u_samples=u_samples,
@@ -236,17 +231,17 @@ def evolve(config):
 # -- Picard / Duhamel cross-validation --------------------------------
 
 
-def _duhamel_u(half, K1_lags, h_hat_list, dt_loc, i):
+def _duhamel_u(half, lags, h_hat_list, dt_loc, i):
     """u-component of int_0^{t_i} Phi(t_i - s) * h(u(s)) ds by trapezoid.
 
-    K1_lags[k] is K1 at the lag t_k - t_0 of the uniform grid.
+    lags[k] holds the multipliers at the lag t_k - t_0 of the uniform grid.
     """
     if i == 0:
         return np.zeros(half.spec.shape)
     acc = np.zeros_like(h_hat_list[0])
     for j in range(i + 1):
         w = 0.5 if j in (0, i) else 1.0
-        acc += w * dt_loc * K1_lags[i - j] * h_hat_list[j]
+        acc += w * dt_loc * lags[i - j][1] * h_hat_list[j]
     return half.inverse(acc)
 
 
@@ -279,20 +274,19 @@ def picard_verify(config, window_T=1.0, iterations=4):
         raise ValueError("cannot propagate a non-finite state")
     # one multiplier build per lag t_k - t_0 serves every pair (i, j) with i - j = k
     half = half_spectrum(spec)
-    lags = [multipliers(half.xi_sq, t - t_grid[0])[:2] for t in t_grid]
+    lags = [multipliers(half.xi_sq, t - t_grid[0]) for t in t_grid]
     phi_hat, psi_hat = half.forward(data.u.values), half.forward(data.v.values)
-    u_lin = [half.inverse(K0 * phi_hat + K1 * psi_hat) for K0, K1 in lags]
-    K1_lags = [K1 for _, K1 in lags]
+    u_lin = [half.inverse(_flow_hat(K, phi_hat, psi_hat)[0]) for K in lags]
 
     def weighted_norm(diff_fields):
-        return max(xnorm_weight(t, n, _xnorm_norms(GridField(spec, vals)))
+        return max(xnorm_weight(t, n, _sample_norms(half, vals, half.forward(vals)))
                    for t, vals in zip(t_grid, diff_fields))
 
     current = [u.copy() for u in u_lin]
     increments = []
     for _ in range(iterations):
         h_hat = [half.forward(config.nonlinearity.h_eval(u)) for u in current]
-        nxt = [u_lin[i] + _duhamel_u(half, K1_lags, h_hat, dt_loc, i) for i in range(m + 1)]
+        nxt = [u_lin[i] + _duhamel_u(half, lags, h_hat, dt_loc, i) for i in range(m + 1)]
         increments.append(weighted_norm([a - b for a, b in zip(nxt, current)]))
         current = nxt
 

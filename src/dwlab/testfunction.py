@@ -119,6 +119,7 @@ def _weight_terms(z, n):
 
 
 _WEIGHT_GRID = 4001  # z samples on [1/2, 1] that calibrate weight_bound_constant
+_SHELLS_PER_DECADE = 8  # geometric shells per decade of r in blowup_certificate's scan
 
 
 def weight_bound_constant(dimension, r0):
@@ -290,23 +291,29 @@ def jensen_check(phi, values, weights):
 
 @dataclass
 class CertificateReport:
-    """Outcome of driving the averaged chain to its contradiction."""
+    """Outcome of driving the averaged chain to its contradiction: `verdict`
+    is "witness-observed", "witness-beyond-range", "bounded-no-witness" or
+    "inconclusive", and the two flags follow from it."""
 
-    r0: float
-    constant: float
-    y_r0: float
     c2: float
     budget: float
     lhs_final: float
     r_final: float
     crossing_r: float
-    certified: bool
-    witness_in_principle: bool
     verdict: str
 
+    @property
+    def certified(self):
+        """Whether the crossing was observed within the scanned range."""
+        return self.verdict == "witness-observed"
 
-def blowup_certificate(modulus, dimension, y_r0, constant, r0,
-                       r_max=1e300, shells_per_decade=8):
+    @property
+    def witness_in_principle(self):
+        """Whether a crossing radius exists, observed or beyond the range."""
+        return self.verdict in ("witness-observed", "witness-beyond-range")
+
+
+def blowup_certificate(modulus, dimension, y_r0, constant, r0, r_max=1e300):
     """Drive the running integral of mu(c2 r^{-n/2}) dr/r against its budget.
 
     From the measured functional value Y(R0) = y_r0 and the calibrated
@@ -319,19 +326,17 @@ def blowup_certificate(modulus, dimension, y_r0, constant, r0,
     provided a global solution exists.  If the left side crosses the
     budget at a finite R the configuration is incompatible with global
     existence.  The integral accumulates in x = log r (the integrand
-    through the stable log form of mu) over geometric shells up to
-    r_max, all integrated in one `shell_integrals` pass and summed up to
-    the first shell that ends over budget.  When the running value is
-    still below budget at r_max but the integrand's improper integral
-    diverges, a witness radius exists in principle beyond the scanned
-    range and the report says so.
+    through the stable log form of mu) over `_SHELLS_PER_DECADE` geometric
+    shells a decade up to r_max, all integrated in one `shell_integrals`
+    pass and summed up to the first shell that ends over budget.  When the
+    running value is still below budget at r_max but the integrand's
+    improper integral diverges, a witness radius exists in principle
+    beyond the scanned range and the report says so.
     """
     if not y_r0 > 0:
         raise ValueError("measured functional must be positive")
     if not 0 < r0 < r_max < math.inf:
         raise ValueError(f"need 0 < r0 < r_max < inf, got r0={r0}, r_max={r_max}")
-    if not 0 < shells_per_decade < math.inf:
-        raise ValueError(f"shells_per_decade must be positive and finite, got {shells_per_decade}")
     n = dimension
     c2 = y_r0 / (constant ** 2 * math.log(2.0))
     budget = (constant * n / 2.0) * (constant ** 2 * math.log(2.0)) ** ((n + 2.0) / n) \
@@ -343,7 +348,7 @@ def blowup_certificate(modulus, dimension, y_r0, constant, r0,
         return modulus.eval_neglog((n / 2.0) * x - ln_c2)
 
     x_end = math.log(r_max)
-    step = math.log(10.0) / shells_per_decade
+    step = math.log(10.0) / _SHELLS_PER_DECADE
     edges = [math.log(r0)]
     while edges[-1] < x_end:
         edges.append(min(edges[-1] + step, x_end))
@@ -355,17 +360,9 @@ def blowup_certificate(modulus, dimension, y_r0, constant, r0,
     last = int(over[0]) if certified else len(running) - 1
     total, x = float(running[last]), edges[last + 1]
     crossing = math.exp(x) if certified else math.inf
-    if certified:
-        verdict, witness = "witness-observed", True
-    else:
-        label = classify_dini(modulus).dini_verdict
-        if label is Verdict.DIVERGENT:
-            verdict, witness = "witness-beyond-range", True
-        elif label is Verdict.CONVERGENT:
-            verdict, witness = "bounded-no-witness", False
-        else:
-            verdict, witness = "inconclusive", False
-    return CertificateReport(
-        r0=r0, constant=constant, y_r0=y_r0, c2=c2, budget=budget,
-        lhs_final=total, r_final=math.exp(min(x, 700.0)), crossing_r=crossing,
-        certified=certified, witness_in_principle=witness, verdict=verdict)
+    verdict = "witness-observed" if certified else {
+        Verdict.DIVERGENT: "witness-beyond-range", Verdict.CONVERGENT: "bounded-no-witness",
+    }.get(classify_dini(modulus).dini_verdict, "inconclusive")
+    return CertificateReport(c2=c2, budget=budget, lhs_final=total,
+                             r_final=math.exp(min(x, 700.0)), crossing_r=crossing,
+                             verdict=verdict)

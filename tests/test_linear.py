@@ -297,6 +297,12 @@ def test_linear_norm_series_rejects_non_finite():
         linear_norm_series(WaveState(0.0, huge, huge), np.array([0.1]))
 
 
+@pytest.mark.parametrize("times", [[], [[1.0, 2.0], [3.0, 4.0]], 2.0], ids=["empty", "2-d", "0-d"])
+def test_linear_norm_series_needs_a_non_empty_1d_times(times):
+    with pytest.raises(ValueError, match="times must be"):
+        linear_norm_series(_psi_state(GridSpec(1, 16.0, 256)), times)
+
+
 def test_energy_dissipation():
     spec = GridSpec(1, 32.0, 512)
     series = linear_norm_series(_psi_state(spec), np.linspace(0.5, 30.0, 40))

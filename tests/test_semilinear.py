@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from dwlab import semilinear
-from dwlab.grid import GridError, GridField, GridSpec, WaveState, half_spectrum
+from dwlab.grid import GridError, GridField, GridSpec, WaveState, half_spectrum, hdot_norm, lp_norm
 from dwlab.linear import propagate
 from dwlab.modulus import Nonlinearity, PowerForcing, catalog_make
 from dwlab.semilinear import (
@@ -20,6 +20,7 @@ from dwlab.semilinear import (
     make_data,
     picard_verify,
     step,
+    xnorm_weight,
 )
 
 
@@ -180,9 +181,9 @@ def test_evolve_takes_three_transforms_per_step(monkeypatch):
     assert traj.outcome == Outcome.COMPLETED
     samples = len(traj.times)
     assert samples == steps // stride + 1
-    # set-up: u, v and h(u) forward; a sample: |u|_{H1dot} forward; a step:
-    # h(u) forward, u and v back
-    assert counts["rfft"] + counts["rfftn"] == 3 + samples + steps
+    # set-up: u, v and h(u) forward; a step: h(u) forward, u and v back; a
+    # sample takes its norms from u and the carried u_hat, so no transform
+    assert counts["rfft"] + counts["rfftn"] == 3 + steps
     assert counts["irfft"] + counts["irfftn"] == 2 * steps
 
 
@@ -310,6 +311,43 @@ def test_blowup_oracle_detects_finite_lifespan():
     assert traj.xnorm_running[-1] > 100.0 * traj.xnorm_running[0]
 
 
+def _sampled_run(dimension, keep_fields=True):
+    """A short invlog run on a small grid, sampled every fourth step."""
+    spec = GridSpec(1, 64.0, 512) if dimension == 1 else GridSpec(2, 16.0, 64)
+    nl = Nonlinearity(catalog_make("invlog", p=2.0), dimension)
+    data = make_data(spec, amplitude=2.0, width=2.0, component="phi")
+    return evolve(EvolveConfig(grid=spec, nonlinearity=nl, data=data, dt=0.1, t_max=4.0,
+                               sample_stride=4, keep_fields=keep_fields))
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_sample_norms_match_the_kept_fields(dimension):
+    # a sample's norms come from u and the carried u_hat; the full-field
+    # norms of each kept u are the independent reference
+    traj = _sampled_run(dimension)
+    assert len(traj.u_samples) == len(traj.times) == 11
+    for i, u in enumerate(traj.u_samples):
+        field = GridField(traj.spec, u)
+        assert traj.norms["H1dot"][i] == pytest.approx(hdot_norm(field, 1), rel=1e-14, abs=0.0)
+        for key, p in (("L1", 1), ("L2", 2), ("Linf", np.inf)):
+            assert traj.norms[key][i] == lp_norm(field, p), key
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_xnorm_running_is_the_running_max_of_the_sample_weights(dimension):
+    traj = _sampled_run(dimension, keep_fields=False)
+    # per sample on Python floats, as a loop that kept a running max would
+    weights = [xnorm_weight(float(t), dimension,
+                            {key: float(traj.norms[key][i]) for key in traj.norms})
+               for i, t in enumerate(traj.times)]
+    expected = np.maximum.accumulate(weights)
+    running = traj.xnorm_running
+    assert running.shape == traj.times.shape
+    assert np.max(np.abs(running / expected - 1.0)) <= 1e-15
+    assert np.all(np.diff(running) >= 0)
+    assert traj.xnorm == running[-1]
+
+
 def test_times_strictly_increasing():
     spec = _spec()
     data = make_data(spec, amplitude=0.5, width=2.0)
@@ -334,11 +372,20 @@ def test_config_validation():
         kwargs = {"dt": 0.1, "t_max": 1.0, key: bad}
         with pytest.raises(ValueError, match=key):
             EvolveConfig(grid=spec, nonlinearity=PowerForcing(1.5), data=data, **kwargs)
-    # a stride below one would never advance the next sample time
-    for stride in (0, -3):
-        with pytest.raises(ValueError, match="sample_stride"):
+    # a stride below one would never advance the next sample time; 2.5 would
+    # sample every 2.5 steps and clip a step before each sample; True is an
+    # int to Python but not a stride
+    for stride in (0, -1, -3, 2.5, True):
+        with pytest.raises(ValueError, match="sample_stride must be a positive integer"):
             EvolveConfig(grid=spec, nonlinearity=PowerForcing(1.5), data=data,
                          dt=0.1, t_max=1.0, sample_stride=stride)
+
+
+def test_sample_stride_accepts_a_numpy_integer():
+    data = make_data(_spec(), amplitude=0.5, width=2.0)
+    cfg = EvolveConfig(grid=_spec(), nonlinearity=PowerForcing(1.5), data=data,
+                       dt=0.125, t_max=1.5, sample_stride=np.int64(3), keep_fields=False)
+    assert np.array_equal(evolve(cfg).times, np.arange(0.0, 1.75, 0.375))
 
 
 # -- Picard / Duhamel -------------------------------------------------

@@ -139,8 +139,7 @@ def test_weight_bound_constant_rejects_bad_r0():
 def _constant_trajectory(spec, value, t_end, samples):
     times = np.linspace(0.0, t_end, samples)
     fields = [np.full(spec.shape, value) for _ in times]
-    return Trajectory(spec=spec, times=times,
-                      norms={}, xnorm_running=np.zeros(samples),
+    return Trajectory(spec=spec, times=times, norms={},
                       outcome="CompletedHorizon", t_est=math.inf,
                       u_samples=fields)
 
@@ -324,7 +323,7 @@ def _edge_trajectory(outside):
     x = spec.axis()
     times = np.arange(10.0)
     fields = [np.where(x * x < 9.0, 0.3 + 0.02 * x + 0.01 * t, outside) for t in times]
-    return Trajectory(spec=spec, times=times, norms={}, xnorm_running=np.zeros(len(times)),
+    return Trajectory(spec=spec, times=times, norms={},
                       outcome="CompletedHorizon", t_est=math.inf,
                       u_samples=fields)
 
@@ -458,6 +457,24 @@ def test_certificate_crossing_when_budget_is_tiny():
     assert report.verdict == "witness-observed"
 
 
+@pytest.mark.parametrize("kind, params, y_r0, constant, verdict, certified, witness", [
+    ("invlog", dict(p=1.0), 5.0, 2.0, "witness-observed", True, True),
+    ("invlog", dict(p=1.0), 0.02, None, "witness-beyond-range", False, True),
+    ("invlog", dict(p=2.0), 0.02, None, "bounded-no-witness", False, False),
+    # classify reports iterlog depth 3 Inconclusive; a tiny Y keeps its scan under budget
+    ("iterlog", dict(p=2.0, depth=3), 1e-50, None, "inconclusive", False, False),
+])
+def test_certificate_flags_follow_the_verdict(kind, params, y_r0, constant, verdict,
+                                              certified, witness):
+    mu = catalog_make(kind, **params)
+    constant = constant or weight_bound_constant(1, 16.0)
+    report = blowup_certificate(mu, 1, y_r0=y_r0, constant=constant, r0=16.0)
+    assert report.verdict == verdict
+    assert report.certified is certified
+    assert report.witness_in_principle is witness
+    assert report.certified == math.isfinite(report.crossing_r)
+
+
 def _certificate_by_loop(mu, n, c2, budget, r0, r_max):
     """The shell loop `blowup_certificate` replaced, eight shells a decade:
     (lhs_final, r_final, crossing_r)."""
@@ -499,10 +516,7 @@ def test_certificate_matches_scalar_shell_loop(kind, p, y_r0, constant, r_max, v
 
 
 @pytest.mark.parametrize("bad", [dict(r_max=math.inf), dict(r_max=math.nan), dict(r_max=16.0),
-                                 dict(r_max=4.0), dict(r0=0.0), dict(r0=math.nan),
-                                 dict(shells_per_decade=-8), dict(shells_per_decade=0),
-                                 dict(shells_per_decade=math.nan),
-                                 dict(shells_per_decade=math.inf)], ids=str)
+                                 dict(r_max=4.0), dict(r0=0.0), dict(r0=math.nan)], ids=str)
 def test_certificate_rejects_bad_ranges(bad):
     mu = catalog_make("invlog", p=1.0)
     with pytest.raises(ValueError):
