@@ -16,8 +16,8 @@ dK1 = K0 - K1.
 
 The flow runs on the grid's rfft half-spectrum (`dwlab.grid.half_spectrum`):
 `_flow_hat(K, u_hat, v_hat)` applies the multipliers K it is given to
-half-spectra.  The stepper's loop and `_flow` (under `propagate` and `step`)
-pass the last few (grid, dt) multipliers, kept in a cache;
+half-spectra.  The stepper's kernel and `propagate`, which wraps it in the
+transform pair, pass the last few (grid, dt) multipliers, kept in a cache;
 `linear_norm_series` builds its own for each gap between samples.
 """
 
@@ -119,13 +119,6 @@ def _flow_hat(K, u_hat, v_hat):
     return K0 * u_hat + K1 * v_hat, dK0 * u_hat + dK1 * v_hat
 
 
-def _flow(spec, u, v, dt):
-    """The arrays (u, u_t) advanced by dt > 0 under the exact linear flow, unchecked."""
-    half = half_spectrum(spec)
-    u_hat, v_hat = _flow_hat(_flow_multipliers(spec, dt), half.forward(u), half.forward(v))
-    return half.inverse(u_hat), half.inverse(v_hat)
-
-
 def propagate(state, dt):
     """Evolve Cauchy data exactly by dt under the linear damped flow."""
     if dt < 0:
@@ -135,8 +128,11 @@ def propagate(state, dt):
     if dt == 0.0:
         return state.copy()
     spec = state.spec
-    u, v = _flow(spec, state.u.values, state.v.values, dt)
-    out = WaveState(state.time + dt, GridField(spec, u), GridField(spec, v))
+    half = half_spectrum(spec)
+    u_hat, v_hat = _flow_hat(_flow_multipliers(spec, dt), half.forward(state.u.values),
+                             half.forward(state.v.values))
+    out = WaveState(state.time + dt, GridField(spec, half.inverse(u_hat)),
+                    GridField(spec, half.inverse(v_hat)))
     if not (out.u.is_finite() and out.v.is_finite()):
         raise ValueError(f"linear flow over dt={dt} produced a non-finite state")
     return out

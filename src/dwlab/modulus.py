@@ -208,13 +208,11 @@ class Modulus:
         s = np.atleast_1d(s)
         if np.any(s <= 0):
             raise ModulusError("derivatives are evaluated on s > 0 only")
-        out = np.zeros_like(s)
-        inner = s <= self.continuation_point
-        outer = ~inner
-        if inner.any():
-            out[inner] = self._raw_deriv(s[inner], k)
+        sst = self.continuation_point
+        out = self._raw_deriv(np.minimum(s, sst), k)
+        outer = s > sst
         if outer.any():
-            out[outer] = self._continuation[1] if k == 1 else 0.0
+            out = np.where(outer, self._continuation[1] if k == 1 else 0.0, out)
         return out[0] if scalar else out
 
     def eval_neglog(self, w):
@@ -229,9 +227,7 @@ class Modulus:
         p = self.params.get("p")
         if self.kind is Kind.POWER:
             out = np.exp(-p * w)
-        elif self.kind is Kind.LOGPLUS:
-            out = np.log1p(np.exp(-w)) ** p
-        elif self.kind is Kind.CUSTOM:  # limited range, go through eval
+        elif self.kind in (Kind.LOGPLUS, Kind.CUSTOM):  # no deep formula, go through eval
             out = self.eval(np.exp(-w))
         else:  # the formula below s*, the continuation through eval above it
             out = np.empty_like(w)

@@ -15,12 +15,12 @@ on a 2-d one, through `dwlab.grid.HalfSpectrum`): u_hat back, for h(u) and
 the growth check; h(u) forward, for the closing kick and the next opening
 one; and v_hat back, for the growth check.  A sample takes its norms from
 u and the carried u_hat, with no transform.  `step` is the public one-step
-wrapper on a `WaveState`: it kicks in physical space and drifts through the
-flow kernel that `dwlab.linear.propagate` wraps, four transforms a step.
-Both drifts run through `dwlab.linear._flow_hat` with the cached
-multipliers of their (grid, dt).  Blow-up is detected operationally: |u|
-above `BLOWUP_THRESHOLD`, non-finite values, or the step halving below
-`DT_MIN`.  True nonexistence is asymptotic and the detected
+wrapper on a `WaveState`: it forward-transforms u, u_t and h(u) and runs
+`evolve`'s kernel once, six transforms a step.  The kernel drifts through
+`dwlab.linear._flow_hat` with the cached multipliers of its (grid, dt), and
+it alone raises `BlowupSignal` for non-finite values.  Blow-up is detected
+operationally: |u| above `BLOWUP_THRESHOLD`, non-finite values, or the step
+halving below `DT_MIN`.  True nonexistence is asymptotic and the detected
 time is an upper proxy for the lifespan, not a sharp estimate.
 """
 
@@ -35,7 +35,7 @@ import numpy as np
 from .grid import (GridError, GridField, WaveState, _sample_norms, half_spectrum, lp_norm,
                    sobolev_norm)
 # propagate is unused here, but perfbench/selftest.py checks that its tracer patches this binding
-from .linear import _flow, _flow_hat, _flow_multipliers, multipliers, propagate  # noqa: F401
+from .linear import _flow_hat, _flow_multipliers, multipliers, propagate  # noqa: F401
 
 __all__ = [
     "BLOWUP_THRESHOLD",
@@ -118,16 +118,15 @@ def step(state, h_u, dt, nonlinearity):
 
     Returns (new_state, h(new u)).  The caller passes the second back as
     the next step's `h_u` (first same as last), so a run evaluates h once
-    per accepted step.  Raises BlowupSignal on non-finite output.
+    per accepted step.  The step is `evolve`'s own kernel on the spectra
+    of (u, u_t, h_u), and raises BlowupSignal as it does.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     spec = state.spec
-    u, v = _flow(spec, state.u.values, state.v.values + 0.5 * dt * h_u, dt)
-    h_new = nonlinearity.h_eval(u)
-    v += 0.5 * dt * h_new
-    if not (np.isfinite(u).all() and np.isfinite(v).all()):
-        raise BlowupSignal(state.time)
+    half = half_spectrum(spec)
+    carried = tuple(half.forward(f) for f in (state.u.values, state.v.values, h_u))
+    (u, v, h_new), _, _ = _carried_step(half, carried, state.time, dt, nonlinearity)
     return WaveState(state.time + dt, GridField(spec, u), GridField(spec, v)), h_new
 
 
@@ -135,11 +134,11 @@ def _carried_step(half, carried, time, dt, nonlinearity):
     """One Strang step from `time` of the half-spectra `carried` =
     (u_hat, v_hat, h_hat) of (u, u_t, h(u)) on the grid of `half`.
 
-    Returns the new arrays u and u_t and the new state's carried triple.
-    The triple passed in is left as it was, so a rejected attempt retries
-    from it.  Raises BlowupSignal if h(u) is not finite, before its
-    transform spreads the bad value over every mode; u and u_t are the
-    caller's to check.
+    Returns the new arrays (u, u_t, h(u)), the new state's carried triple
+    and (max|u|, max|u_t|).  The triple passed in is left as it was, so a
+    rejected attempt retries from it.  Raises BlowupSignal(time) if h(u)
+    is not finite, before its transform spreads the bad value over every
+    mode, or if u or u_t is not.
     """
     u_hat, v_hat, h_hat = carried
     u_hat, v_hat = _flow_hat(_flow_multipliers(half.spec, dt), u_hat, v_hat + 0.5 * dt * h_hat)
@@ -149,7 +148,12 @@ def _carried_step(half, carried, time, dt, nonlinearity):
         raise BlowupSignal(time)
     h_hat = half.forward(h_u)
     v_hat += 0.5 * dt * h_hat
-    return u, half.inverse(v_hat), (u_hat, v_hat, h_hat)
+    v = half.inverse(v_hat)
+    # a max is NaN or inf exactly when its field holds a non-finite value
+    sup_u, sup_v = float(np.max(np.abs(u))), float(np.max(np.abs(v)))
+    if not (math.isfinite(sup_u) and math.isfinite(sup_v)):
+        raise BlowupSignal(time)
+    return (u, v, h_u), (u_hat, v_hat, h_hat), (sup_u, sup_v)
 
 
 def xnorm_weight(t, dimension, norms):
@@ -191,11 +195,8 @@ def evolve(config):
     while time < config.t_max - 1e-12:
         dt_step = min(dt, config.t_max - time, next_sample - time)
         try:
-            u, v, candidate = _carried_step(half, carried, time, dt_step, config.nonlinearity)
-            # a max is NaN or inf exactly when its field holds a non-finite value
-            sup_after, sup_v = float(np.max(np.abs(u))), float(np.max(np.abs(v)))
-            if not (math.isfinite(sup_after) and math.isfinite(sup_v)):
-                raise BlowupSignal(time)
+            (u, _, _), candidate, (sup_after, sup_v) = _carried_step(
+                half, carried, time, dt_step, config.nonlinearity)
         except BlowupSignal:
             outcome, t_est = Outcome.BLEW_UP, time
             break

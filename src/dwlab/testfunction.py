@@ -338,10 +338,13 @@ def blowup_certificate(modulus, dimension, y_r0, constant, r0, r_max=1e300):
     if not 0 < r0 < r_max < math.inf:
         raise ValueError(f"need 0 < r0 < r_max < inf, got r0={r0}, r_max={r_max}")
     n = dimension
-    c2 = y_r0 / (constant ** 2 * math.log(2.0))
-    budget = (constant * n / 2.0) * (constant ** 2 * math.log(2.0)) ** ((n + 2.0) / n) \
-        / y_r0 ** (2.0 / n)
-    ln_c2 = math.log(c2)
+    scale = constant ** 2 * math.log(2.0)
+    c2 = y_r0 / scale
+    # a tiny Y(R0) underflows c2 and Y(R0)^{2/n}, so ln c2 is formed from
+    # logs and a budget past the double range is inf
+    y_power = y_r0 ** (2.0 / n)
+    budget = (constant * n / 2.0) * scale ** ((n + 2.0) / n) / y_power if y_power > 0 else math.inf
+    ln_c2 = math.log(y_r0) - math.log(scale)
 
     def integrand(x):
         # mu(c2 e^{-(n/2)x}) = mu(e^{-((n/2)x - ln c2)})

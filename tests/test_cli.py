@@ -380,6 +380,16 @@ def test_certificate_early_blowup_skips_functionals(tmp_path, capsys):
     assert "I_R" not in entries
 
 
+def test_certificate_tiny_functional_reports_a_verdict(tmp_path, capsys):
+    # Y(R0) is so small that its square underflows and the budget is inf
+    code, _ = _run_config(tmp_path, "certificate",
+                          dimension=1, L=40.0, N=256, R=16.0, r0=4.0, width=2.0,
+                          modulus="invlog:p=1", amplitude=1e-70)
+    assert code == 0
+    captured = capsys.readouterr()
+    assert "certificate:" in captured.out and not captured.err
+
+
 def test_certificate_rejects_zero_mean_data(tmp_path, capsys):
     code, _ = _run_config(tmp_path, "certificate",
                           dimension=1, L=64.0, N=512, R=16.0,

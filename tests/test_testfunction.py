@@ -523,6 +523,17 @@ def test_certificate_rejects_bad_ranges(bad):
         blowup_certificate(mu, 1, y_r0=0.02, constant=10.0, **{"r0": 16.0, **bad})
 
 
+@pytest.mark.parametrize("n, y_r0", [(1, 1e-200), (2, 5e-324)])
+def test_certificate_budget_past_double_range_is_infinite(n, y_r0):
+    # c2 and Y(R0)^{2/n} underflow to 0 here; 1e-160 still forms both
+    mu = catalog_make("invlog", p=1.0)
+    constant = weight_bound_constant(n, 16.0)
+    report = blowup_certificate(mu, n, y_r0=y_r0, constant=constant, r0=16.0)
+    small = blowup_certificate(mu, n, y_r0=1e-160, constant=constant, r0=16.0)
+    assert report.budget == math.inf
+    assert report.verdict == small.verdict
+
+
 def test_certificate_rejects_zero_functional():
     mu = catalog_make("invlog", p=1.0)
     with pytest.raises(ValueError):
