@@ -1,4 +1,8 @@
-"""Command-line front end: run orchestration, manifests, CSV, plot scripts.
+"""Command-line front end: run orchestration and one record writer.
+
+Every run writes its outputs through `_write_record` into a directory made
+by `_run_dir`: ``manifest.txt`` always, and ``norms.csv`` with a
+``norms_plot.py`` for the runs that sample a norm series.
 
 Subcommands
 -----------
@@ -83,16 +87,13 @@ def _str_list(text):
     return [tok.strip() for tok in text.split(";") if tok.strip()]
 
 
-def _out_root(args):
+def _run_dir(args, tag, cfg):
+    """The run's output directory <out>/<tag>-<config hash>, created if missing.
+    Callers make it only once every check has passed, so a user error leaves none."""
     root = args.out or os.environ.get("DWLAB_OUT") or "dwlab_out"
-    path = Path(root)
+    path = Path(root) / f"{tag}-{config_hash(cfg)}"
     path.mkdir(parents=True, exist_ok=True)
     return path
-
-
-def _write_manifest(directory, entries):
-    lines = [f"{key} = {value}" for key, value in entries]
-    (directory / "manifest.txt").write_text("\n".join(lines) + "\n")
 
 
 def _write_csv(directory, name, columns):
@@ -105,32 +106,34 @@ def _write_csv(directory, name, columns):
 
 _PLOT_TEMPLATE = """\
 #!/usr/bin/env python3
-\"\"\"Log-log decay plot for {csv} (generated alongside the data).\"\"\"
+\"\"\"Log-log decay plot for norms.csv (generated alongside the data).\"\"\"
 import csv
 import matplotlib.pyplot as plt
 
-with open({csv!r}) as fh:
+with open('norms.csv') as fh:
     rows = list(csv.DictReader(fh))
 t = [1.0 + float(r["t"]) for r in rows]
 for column in {columns!r}:
     plt.loglog(t, [float(r[column]) for r in rows], label=column)
 plt.xlabel("1 + t")
 plt.legend()
-plt.savefig({png!r}, dpi=150)
+plt.savefig('norms.png', dpi=150)
 """
 
 
-def _write_plot_script(directory, csv_name, columns):
-    script = _PLOT_TEMPLATE.format(csv=csv_name, columns=columns,
-                                   png=csv_name.replace(".csv", ".png"))
-    path = directory / csv_name.replace(".csv", "_plot.py")
-    path.write_text(script)
+def _write_record(directory, entries, series=None, plotted=()):
+    """The one record writer: manifest.txt of the (key, value) entries and,
+    given a norm series, norms.csv with a norms_plot.py of the plotted columns."""
+    if series is not None:
+        _write_csv(directory, "norms.csv", series)
+        (directory / "norms_plot.py").write_text(_PLOT_TEMPLATE.format(columns=list(plotted)))
+    lines = [f"{key} = {value}" for key, value in entries]
+    (directory / "manifest.txt").write_text("\n".join(lines) + "\n")
 
 
-def _run_dir(root, tag, cfg):
-    path = root / f"{tag}-{config_hash(cfg)}"
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+def _fit_window(t_end):
+    """The decay-fit window of `linear` and `run`: (min(50, t_end/40), t_end)."""
+    return min(50.0, t_end / 40.0), t_end
 
 
 # -- shared builders --------------------------------------------------
@@ -202,33 +205,29 @@ def cmd_linear(args, cfg):
     t_start = time.perf_counter()
     # the sample times start at max(t_max / 100, 1), so t_max must exceed 1
     spec, t_max, data = _setup(cfg, "t_max", 2000.0, horizon_min=1.0)
-    out = _run_dir(_out_root(args), "linear", cfg)
     times = np.geomspace(max(t_max * 0.01, 1.0), t_max, 45)
     series = linear_norm_series(data, times)
-    _write_csv(out, "norms.csv", series)
-    _write_plot_script(out, "norms.csv", ["Linf", "L2", "H1dot"])
 
     n = spec.dimension
     entries = [("config_hash", config_hash(cfg)), ("dimension", n)]
+    status = EXIT_OK
     if max(series["Linf"]) == 0.0:
         entries.append(("note", "zero data; decay fits skipped"))
-        _write_manifest(out, entries)
-        print(f"linear: zero data, no fits; output in {out}")
-        return EXIT_OK
-    window = (_get(cfg, "fit_t_min", float, min(50.0, t_max / 40.0)), t_max)
-    status = EXIT_OK
-    for norm, rate in _LEMMA_RATES.items():
-        fit = decay_fit(series, norm, window)
-        expected = rate(n)
-        ok = abs(fit.exponent - expected) <= 0.1
-        entries.append((f"slope_{norm}", f"{fit.exponent:.6f}"))
-        entries.append((f"expected_{norm}", f"{expected:.6f}"))
-        print(f"{norm:6s} slope {fit.exponent:+.4f}  expected {expected:+.2f}  "
-              f"{'ok' if ok else 'MISMATCH'}")
-        if not ok:
-            status = EXIT_MISMATCH
+        print("linear: zero data, no fits")
+    else:
+        for norm, rate in _LEMMA_RATES.items():
+            fit = decay_fit(series, norm, _fit_window(t_max))
+            expected = rate(n)
+            ok = abs(fit.exponent - expected) <= 0.1
+            entries.append((f"slope_{norm}", f"{fit.exponent:.6f}"))
+            entries.append((f"expected_{norm}", f"{expected:.6f}"))
+            print(f"{norm:6s} slope {fit.exponent:+.4f}  expected {expected:+.2f}  "
+                  f"{'ok' if ok else 'MISMATCH'}")
+            if not ok:
+                status = EXIT_MISMATCH
     entries.append(("wall_time_s", f"{time.perf_counter() - t_start:.3f}"))
-    _write_manifest(out, entries)
+    out = _run_dir(args, "linear", cfg)
+    _write_record(out, entries, series, plotted=("Linf", "L2", "H1dot"))
     print(f"output in {out}")
     return status
 
@@ -248,10 +247,9 @@ def _single_run(cfg):
         "wall_time_s": time.perf_counter() - t_start,
     }
     series = {"t": traj.times, **traj.norms}
-    if traj.outcome == Outcome.COMPLETED and traj.times[-1] >= 10 * (1 + traj.times[0]):
-        window = (traj.times[-1] * 0.1, traj.times[-1])
-        try:
-            result["linf_slope"] = decay_fit(series, "Linf", window).exponent
+    if traj.outcome == Outcome.COMPLETED:
+        try:  # decay_fit refuses a run too short to span a decade of 1 + t
+            result["linf_slope"] = decay_fit(series, "Linf", _fit_window(traj.times[-1])).exponent
         except ValueError:
             pass
     result["series"] = series
@@ -260,13 +258,11 @@ def _single_run(cfg):
 
 def cmd_run(args, cfg):
     result = _single_run(cfg)
-    out = _run_dir(_out_root(args), "run", cfg)
     series = result.pop("series")
-    _write_csv(out, "norms.csv", series)
-    _write_plot_script(out, "norms.csv", ["Linf", "L2"])
-    _write_manifest(out, sorted(result.items()))
     for key in ("outcome", "t_est", "xnorm"):
         print(f"{key:8s}: {result[key]}")
+    out = _run_dir(args, "run", cfg)
+    _write_record(out, sorted(result.items()), series, plotted=("Linf", "L2"))
     print(f"output in {out}")
     return EXIT_OK
 
@@ -310,25 +306,21 @@ def cmd_sweep(args, cfg):
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_worker, jobs))
-    out = _run_dir(_out_root(args), "sweep", cfg)
-    columns = {"amplitude": [], "t_est": []}
+    out = _run_dir(args, "sweep", cfg)
     print(f"{'modulus':28s} {'amplitude':>10s} {'outcome':>16s} {'t_est':>10s}")
     for res in results:
         print(f"{res['modulus']:28s} {res['amplitude']!s:>10s} "
               f"{res['outcome']:>16s} {res['t_est']!s:>10s}")
         sub = out / res["config_hash"]
         sub.mkdir(exist_ok=True)
-        _write_manifest(sub, sorted(res.items()))
-        if isinstance(res.get("amplitude"), float) and isinstance(res.get("t_est"), float):
-            columns["amplitude"].append(res["amplitude"])
-            columns["t_est"].append(res["t_est"])
-    if columns["amplitude"]:
-        finite = {k: [v if math.isfinite(v) else -1.0 for v in vals]
-                  for k, vals in columns.items()}
-        _write_csv(out, "lifespans.csv", finite)
-    failures = [r for r in results if r["outcome"] == "Failed"]
-    if failures:
-        print(f"sweep: {len(failures)} run(s) failed", file=sys.stderr)
+        _write_record(sub, sorted(res.items()))
+    done = [r for r in results if r["outcome"] != "Failed"]
+    if done:
+        _write_csv(out, "lifespans.csv",
+                   {key: [r[key] if math.isfinite(r[key]) else -1.0 for r in done]
+                    for key in ("amplitude", "t_est")})
+    if len(done) < len(results):
+        print(f"sweep: {len(results) - len(done)} run(s) failed", file=sys.stderr)
     print(f"output in {out}")
     return EXIT_OK
 
@@ -340,7 +332,6 @@ def cmd_certificate(args, cfg):
     r0 = _get(cfg, "r0", float, 16.0)
     constant = weight_bound_constant(spec.dimension, r0)  # checks r0 before the run
     forcing, traj = _evolve(cfg, spec, data, big_r, sample_stride=5, keep_fields=True)
-    out = _run_dir(_out_root(args), "certificate", cfg)
     entries = [("config_hash", config_hash(cfg)), ("outcome", traj.outcome),
                ("t_est", traj.t_est)]
     if traj.outcome != Outcome.COMPLETED:
@@ -348,28 +339,27 @@ def cmd_certificate(args, cfg):
               f"t={traj.t_est:g}); blow-up observed directly")
     if len(traj.times) < 2:
         print("certificate: no sample after the data; functionals skipped")
-        _write_manifest(out, entries)
-        print(f"output in {out}")
-        return EXIT_OK
-    r_probe = min(big_r, traj.times[-1])
-    i_r = functional_ir(traj, forcing, r_probe)
-    r_grid = np.geomspace(r_probe / 256.0, r_probe, 65)
-    y_rep = functional_y(traj, forcing, r_grid)
-    y_swapped = functional_y_exchanged(traj, forcing, r_grid)
-    modulus = getattr(forcing, "modulus", None)
-    entries += [("R", r_probe), ("r0", r0),
-                ("constant_C", f"{constant:.6g}"), ("I_R", f"{i_r:.6g}"),
-                ("Y", f"{y_rep['Y']:.6g}"), ("Y_exchanged", f"{y_swapped:.6g}")]
-    print(f"C = {constant:.4g}   I_R = {i_r:.6g}   Y = {y_rep['Y']:.6g}")
-    if modulus is not None and y_rep["Y"] > 0:
-        report = blowup_certificate(modulus, spec.dimension,
-                                    y_rep["Y"], constant, r0)
-        entries += [("budget", f"{report.budget:.6g}"),
-                    ("lhs_final", f"{report.lhs_final:.6g}"),
-                    ("crossing_R", report.crossing_r),
-                    ("verdict", report.verdict)]
-        print(f"certificate: {report.verdict}")
-    _write_manifest(out, entries)
+    else:
+        r_probe = min(big_r, traj.times[-1])
+        i_r = functional_ir(traj, forcing, r_probe)
+        r_grid = np.geomspace(r_probe / 256.0, r_probe, 65)
+        y_rep = functional_y(traj, forcing, r_grid)
+        y_swapped = functional_y_exchanged(traj, forcing, r_grid)
+        modulus = getattr(forcing, "modulus", None)
+        entries += [("R", r_probe), ("r0", r0),
+                    ("constant_C", f"{constant:.6g}"), ("I_R", f"{i_r:.6g}"),
+                    ("Y", f"{y_rep['Y']:.6g}"), ("Y_exchanged", f"{y_swapped:.6g}")]
+        print(f"C = {constant:.4g}   I_R = {i_r:.6g}   Y = {y_rep['Y']:.6g}")
+        if modulus is not None and y_rep["Y"] > 0:
+            report = blowup_certificate(modulus, spec.dimension,
+                                        y_rep["Y"], constant, r0)
+            entries += [("budget", f"{report.budget:.6g}"),
+                        ("lhs_final", f"{report.lhs_final:.6g}"),
+                        ("crossing_R", report.crossing_r),
+                        ("verdict", report.verdict)]
+            print(f"certificate: {report.verdict}")
+    out = _run_dir(args, "certificate", cfg)
+    _write_record(out, entries)
     print(f"output in {out}")
     return EXIT_OK
 

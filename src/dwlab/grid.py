@@ -235,7 +235,7 @@ def sobolev_norm(field, k):
     return math.sqrt(half.parseval(half.forward(field.values), (1.0 + half.xi_sq) ** k))
 
 
-def gn_check(field, dimension=None):
+def gn_check(field):
     """Gagliardo-Nirenberg interpolation ratios (LHS / RHS without C).
 
     ratio_low :  |u|_{L^{1+2/n}}^{1+2/n} / ( |grad u|_{L^2}^{1-n/2} |u|_{L^2}^{2/n+n/2} )
@@ -244,7 +244,7 @@ def gn_check(field, dimension=None):
     For n = 2 the first ratio is identically 1 (the exponents collapse to
     an L^2 identity).
     """
-    n = field.spec.dimension if dimension is None else dimension
+    n = field.spec.dimension
     l2 = lp_norm(field, 2)
     if l2 == 0.0:
         raise GridError("Gagliardo-Nirenberg check needs a nonzero field")

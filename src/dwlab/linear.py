@@ -172,8 +172,6 @@ def linear_norm_series(state, times):
 class DecayFit:
     """Least-squares slope of log(norm) against log(1+t)."""
 
-    norm: str
-    window: tuple
     exponent: float
     residual: float
     n_points: int
@@ -198,5 +196,5 @@ def decay_fit(series, norm, window):
     A = np.column_stack([np.ones_like(x), x])
     coef, *_ = np.linalg.lstsq(A, y, rcond=None)
     resid = y - A @ coef
-    return DecayFit(norm=norm, window=(t_min, t_max), exponent=float(coef[1]),
-                    residual=float(np.sqrt(np.mean(resid ** 2))), n_points=int(mask.sum()))
+    return DecayFit(exponent=float(coef[1]), residual=float(np.sqrt(np.mean(resid ** 2))),
+                    n_points=int(mask.sum()))

@@ -181,10 +181,6 @@ def _forcing_samples(trajectory, nonlinearity, horizon, points):
     return times[keep], nonlinearity.h_eval(np.abs(u))
 
 
-def _time_trapezoid(times, values):
-    return float(np.trapezoid(values, times)) if len(times) > 1 else 0.0
-
-
 def _radius_grid(r_grid):
     """r_grid as floats, checked: 1-d, finite, positive, strictly increasing."""
     r = np.asarray(r_grid, dtype=float)
@@ -203,7 +199,7 @@ def functional_ir(trajectory, nonlinearity, big_r):
     q, order, hi = _support_slices(spec, big_r)
     times, dens = _forcing_samples(trajectory, nonlinearity, big_r, order[:hi])
     weight = eta((q[:hi] + times[:, None]) / big_r) ** (spec.dimension + 2)
-    return _time_trapezoid(times, np.sum(dens * weight, axis=1) * spec.cell)
+    return float(np.trapezoid(np.sum(dens * weight, axis=1) * spec.cell, times))
 
 
 def _log_trapezoid_weights(r):
@@ -235,7 +231,7 @@ def functional_y(trajectory, nonlinearity, r_grid):
         slices = np.zeros(len(times))
         weight = eta_star((q[:n] + times[:m, None]) / rk) ** power
         slices[:m] = np.sum(dens[:m, :n] * weight, axis=1) * spec.cell
-        y[k] = _time_trapezoid(times, slices)
+        y[k] = np.trapezoid(slices, times)
     x = np.log(r)
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x))])
     return {"r": r, "y": y, "Y_cum": cum, "Y": float(cum[-1])}
@@ -262,7 +258,7 @@ def functional_y_exchanged(trajectory, nonlinearity, r_grid):
     for i, t in enumerate(times):
         kernel = eta_star((q[:, None] + t) / r[None, :]) ** power @ w
         slices[i] = float(np.sum(dens[i] * kernel)) * spec.cell
-    return _time_trapezoid(times, slices)
+    return float(np.trapezoid(slices, times))
 
 
 # -- generalized Jensen inequality ------------------------------------
@@ -291,14 +287,14 @@ def jensen_check(phi, values, weights):
 
 @dataclass
 class CertificateReport:
-    """Outcome of driving the averaged chain to its contradiction: `verdict`
-    is "witness-observed", "witness-beyond-range", "bounded-no-witness" or
-    "inconclusive", and the two flags follow from it."""
+    """Outcome of driving the averaged chain to its contradiction: the
+    running integral where the scan stopped, the radius where it crossed the
+    budget (inf if it never did), and a `verdict` of "witness-observed",
+    "witness-beyond-range", "bounded-no-witness" or "inconclusive" from which
+    the two flags follow."""
 
-    c2: float
     budget: float
     lhs_final: float
-    r_final: float
     crossing_r: float
     verdict: str
 
@@ -339,7 +335,6 @@ def blowup_certificate(modulus, dimension, y_r0, constant, r0, r_max=1e300):
         raise ValueError(f"need 0 < r0 < r_max < inf, got r0={r0}, r_max={r_max}")
     n = dimension
     scale = constant ** 2 * math.log(2.0)
-    c2 = y_r0 / scale
     # a tiny Y(R0) underflows c2 and Y(R0)^{2/n}, so ln c2 is formed from
     # logs and a budget past the double range is inf
     y_power = y_r0 ** (2.0 / n)
@@ -361,11 +356,9 @@ def blowup_certificate(modulus, dimension, y_r0, constant, r0, r_max=1e300):
     certified = over.size > 0
     # the scan stops at the upper edge of the first shell over budget
     last = int(over[0]) if certified else len(running) - 1
-    total, x = float(running[last]), edges[last + 1]
-    crossing = math.exp(x) if certified else math.inf
+    crossing = math.exp(edges[last + 1]) if certified else math.inf
     verdict = "witness-observed" if certified else {
         Verdict.DIVERGENT: "witness-beyond-range", Verdict.CONVERGENT: "bounded-no-witness",
     }.get(classify_dini(modulus).dini_verdict, "inconclusive")
-    return CertificateReport(c2=c2, budget=budget, lhs_final=total,
-                             r_final=math.exp(min(x, 700.0)), crossing_r=crossing,
-                             verdict=verdict)
+    return CertificateReport(budget=budget, lhs_final=float(running[last]),
+                             crossing_r=crossing, verdict=verdict)

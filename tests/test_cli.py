@@ -19,6 +19,18 @@ def _run_config(tmp_path, command, **kv):
     return main([command, "--config", cfg, "--out", str(out)]), out
 
 
+def _files(out):
+    """The sorted file names of the one run directory in out."""
+    (run_dir,) = list(out.iterdir())
+    return sorted(p.name for p in run_dir.iterdir())
+
+
+def _manifest(out):
+    """The manifest entries, in file order, of the one run directory in out."""
+    (run_dir,) = list(out.iterdir())
+    return dict(line.split(" = ", 1) for line in (run_dir / "manifest.txt").read_text().splitlines())
+
+
 # -- config plumbing --------------------------------------------------
 
 
@@ -226,6 +238,17 @@ def test_run_honours_dwlab_out_env(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_run_reports_step_collapse(tmp_path, capsys):
+    code, out = _run_config(tmp_path, "run",
+                            dimension=1, L=32.0, N=256, t_max=20.0,
+                            amplitude=40.0, width=2.0, modulus="oracle:q=11")
+    assert code == 0
+    capsys.readouterr()
+    entries = _manifest(out)
+    assert entries["outcome"] == "StepCollapse"
+    assert 0.0 < float(entries["t_est"]) < 20.0
+
+
 # -- sweep ------------------------------------------------------------
 
 
@@ -396,6 +419,76 @@ def test_certificate_rejects_zero_mean_data(tmp_path, capsys):
                           shape="dgaussian", modulus="invlog:p=1")
     assert code == 1
     assert "zero-mean" in capsys.readouterr().err
+
+
+# -- record layout ----------------------------------------------------
+
+
+_SERIES_FILES = ["manifest.txt", "norms.csv", "norms_plot.py"]
+
+
+@pytest.mark.parametrize("amplitude, keys", [
+    (1.0, ["config_hash", "dimension", "slope_Linf", "expected_Linf", "slope_L2",
+           "expected_L2", "slope_H1dot", "expected_H1dot", "wall_time_s"]),
+    (0.0, ["config_hash", "dimension", "note", "wall_time_s"]),
+], ids=["decaying", "zero"])
+def test_linear_record_layout(tmp_path, capsys, amplitude, keys):
+    code, out = _run_config(tmp_path, "linear",
+                            dimension=1, L=300.0, N=4096,
+                            t_max=250.0, width=2.0, amplitude=amplitude)
+    assert code == 0
+    capsys.readouterr()
+    assert _files(out) == _SERIES_FILES
+    assert list(_manifest(out)) == keys
+
+
+def test_run_record_layout_and_linf_slope(tmp_path, capsys):
+    # the run spans (1 + t) from 1 to 41, so the Linf slope is fitted
+    code, out = _run_config(tmp_path, "run",
+                            dimension=1, L=64.0, N=512, t_max=40.0,
+                            amplitude=0.5, width=2.0, modulus="invlog:p=2")
+    assert code == 0
+    capsys.readouterr()
+    assert _files(out) == _SERIES_FILES
+    entries = _manifest(out)
+    assert list(entries) == sorted(entries) and "linf_slope" in entries
+    assert entries["outcome"] == "CompletedHorizon"
+    assert abs(float(entries["linf_slope"]) + 0.5) < 0.05
+
+
+@pytest.mark.parametrize("overrides, keys", [
+    (dict(L=64.0, R=16.0, r0=16.0, amplitude=0.5, modulus="invlog:p=1"),
+     ["config_hash", "outcome", "t_est", "R", "r0", "constant_C", "I_R", "Y",
+      "Y_exchanged", "budget", "lhs_final", "crossing_R", "verdict"]),
+    (dict(L=80.0, R=64.0, amplitude=1e8, modulus="oracle:q=1.5"),
+     ["config_hash", "outcome", "t_est"]),
+], ids=["functionals", "early-blowup"])
+def test_certificate_record_layout(tmp_path, capsys, overrides, keys):
+    code, out = _run_config(tmp_path, "certificate",
+                            **{"dimension": 1, "N": 512, "dt": 0.05, "width": 2.0,
+                               **overrides})
+    assert code == 0
+    capsys.readouterr()
+    assert _files(out) == ["manifest.txt"]
+    assert list(_manifest(out)) == keys
+
+
+def test_sweep_record_layout(tmp_path, capsys):
+    cfg = _write_config(
+        tmp_path, "sweep.cfg",
+        dimension=1, L=64.0, N=512, t_max=5.0, dt=0.05, width=2.0,
+        moduli="invlog:p=2; bogus:p=1", epsilons="0.2 0.5")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    (sweep_dir,) = list(out.iterdir())
+    jobs = [p for p in sweep_dir.iterdir() if p.is_dir()]
+    assert sorted(p.name for p in sweep_dir.iterdir() if p.is_file()) == ["lifespans.csv"]
+    assert len(jobs) == 4
+    assert all([p.name for p in job.iterdir()] == ["manifest.txt"] for job in jobs)
+    # the two failed jobs leave no lifespans row
+    rows = (sweep_dir / "lifespans.csv").read_text().splitlines()
+    assert rows == ["amplitude,t_est", "0.2,-1.0", "0.5,-1.0"]
 
 
 # -- artifacts --------------------------------------------------------

@@ -328,6 +328,22 @@ def test_blowup_oracle_detects_finite_lifespan():
     assert traj.xnorm_running[-1] > 100.0 * traj.xnorm_running[0]
 
 
+def test_steep_forcing_collapses_the_step():
+    # h ~ |u|^11 outruns step halving: the step falls below DT_MIN while the
+    # sup norm is still under BLOWUP_THRESHOLD, at a dt-independent time
+    spec = GridSpec(1, 32.0, 256)
+    forcing = PowerForcing(11.0)
+    data = make_data(spec, amplitude=40.0, width=2.0)
+    t_ests = []
+    for dt in (0.05, 0.025, 0.0125):
+        traj = evolve(EvolveConfig(grid=spec, nonlinearity=forcing, data=data, dt=dt,
+                                   t_max=20.0, keep_fields=False))
+        assert traj.outcome == Outcome.STEP_COLLAPSE
+        assert 0.0 < traj.t_est < 20.0
+        t_ests.append(traj.t_est)
+    assert max(t_ests) - min(t_ests) < 1e-3
+
+
 def _sampled_run(dimension, keep_fields=True):
     """A short invlog run on a small grid, sampled every fourth step."""
     spec = GridSpec(1, 64.0, 512) if dimension == 1 else GridSpec(2, 16.0, 64)

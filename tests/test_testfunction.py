@@ -475,10 +475,9 @@ def test_certificate_flags_follow_the_verdict(kind, params, y_r0, constant, verd
     assert report.certified == math.isfinite(report.crossing_r)
 
 
-def _certificate_by_loop(mu, n, c2, budget, r0, r_max):
+def _certificate_by_loop(mu, n, ln_c2, budget, r0, r_max):
     """The shell loop `blowup_certificate` replaced, eight shells a decade:
-    (lhs_final, r_final, crossing_r)."""
-    ln_c2 = math.log(c2)
+    (lhs_final, crossing_r)."""
 
     def integrand(x):
         return mu.eval_neglog((n / 2.0) * x - ln_c2)
@@ -493,7 +492,7 @@ def _certificate_by_loop(mu, n, c2, budget, r0, r_max):
         if total > budget:
             crossing = math.exp(x)
             break
-    return total, math.exp(min(x, 700.0)), crossing
+    return total, crossing
 
 
 @pytest.mark.parametrize("kind, p, y_r0, constant, r_max, verdict", [
@@ -508,10 +507,11 @@ def test_certificate_matches_scalar_shell_loop(kind, p, y_r0, constant, r_max, v
     mu = catalog_make(kind, p=p)
     constant = constant or weight_bound_constant(1, 16.0)
     report = blowup_certificate(mu, 1, y_r0=y_r0, constant=constant, r0=16.0, r_max=r_max)
-    lhs, r_final, crossing = _certificate_by_loop(mu, 1, report.c2, report.budget, 16.0, r_max)
+    ln_c2 = math.log(y_r0) - math.log(constant ** 2 * math.log(2.0))
+    lhs, crossing = _certificate_by_loop(mu, 1, ln_c2, report.budget, 16.0, r_max)
     assert report.verdict == verdict
     assert report.certified == math.isfinite(crossing)
-    assert report.crossing_r == crossing and report.r_final == r_final
+    assert report.crossing_r == crossing
     assert report.lhs_final == pytest.approx(lhs, rel=1e-13, abs=0.0)
 
 
