@@ -12,9 +12,11 @@ run          one semilinear evolution
 sweep        parallel sweep over amplitudes and/or moduli
 certificate  test-function functionals and the blow-up certificate
 
-Config files are plain ``key = value`` lines (# comments allowed).  Exit
-codes: 0 success, 1 usage/config error, 2 scientific assertion mismatch,
-3 inconclusive classification.
+Config files are plain ``key = value`` lines (# comments allowed).  `main`
+resolves them once against `_CONFIG_KEYS`, the keys each subcommand reads with
+their types and defaults: an unknown or repeated key is an error, and a run is
+named by the hash of its resolved config.  Exit codes: 0 success, 1 usage/config
+error, 2 scientific assertion mismatch, 3 inconclusive classification.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ EXIT_OK, EXIT_USAGE, EXIT_MISMATCH, EXIT_INCONCLUSIVE = 0, 1, 2, 3
 
 
 def parse_config(path):
-    """Read a key = value text file into a string dict."""
+    """Read a key = value text file into a string dict; a repeated key is an error."""
     out = {}
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -55,8 +57,10 @@ def parse_config(path):
             continue
         if "=" not in line:
             raise ValueError(f"config line without '=': {raw!r}")
-        key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key in out:
+            raise ValueError(f"config key {key!r} is set twice")
+        out[key] = value
     return out
 
 
@@ -65,26 +69,46 @@ def config_hash(cfg):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-_CAST_NAMES = {int: "an integer", float: "a number"}
-
-
-def _get(cfg, key, cast, default):
-    if key not in cfg:
-        if default is None:
-            raise ValueError(f"missing required config key {key!r}")
-        return default
-    try:
-        return cast(cfg[key])
-    except ValueError:
-        raise ValueError(f"{key} must be {_CAST_NAMES[cast]}, got {cfg[key]!r}") from None
-
-
 def _float_list(text):
     return [float(tok) for tok in text.replace(",", " ").split() if tok]
 
 
 def _str_list(text):
     return [tok.strip() for tok in text.split(";") if tok.strip()]
+
+
+_CAST_NAMES = {int: "an integer", float: "a number", _float_list: "a list of numbers"}
+_REQUIRED = object()  # a key with this default must be set; one with None may be left out
+_DATA_KEYS = {"dimension": (int, 1), "L": (float, _REQUIRED), "N": (int, _REQUIRED),
+              "width": (float, 1.0), "center": (float, 0.0), "shape": (str, "gaussian"),
+              "amplitude": (float, 1.0)}
+_RUN_KEYS = {**_DATA_KEYS, "modulus": (str, _REQUIRED), "dt": (float, 0.05),
+             "t_max": (float, 100.0), "sample_stride": (int, 20)}
+_CONFIG_KEYS = {  # the keys each subcommand reads: key -> (type, default)
+    "classify": {"modulus": (str, None), "dimension": (int, 1)},
+    "linear": {**_DATA_KEYS, "t_max": (float, 2000.0)},
+    "run": _RUN_KEYS,
+    "sweep": {**_RUN_KEYS, "modulus": (str, None), "moduli": (_str_list, None),
+              "epsilons": (_float_list, None)},
+    "certificate": {**_DATA_KEYS, "modulus": (str, _REQUIRED), "dt": (float, 0.05),
+                    "sample_stride": (int, 5), "R": (float, 64.0), "r0": (float, 16.0)},
+}
+
+
+def resolve_config(command, raw):
+    """Every key the subcommand reads, typed or defaulted; any other key is an error."""
+    table = _CONFIG_KEYS[command]
+    if unknown := sorted(raw.keys() - table.keys()):
+        raise ValueError(f"unknown config key {unknown[0]!r}; {command} reads {', '.join(table)}")
+    cfg = {}
+    for key, (cast, default) in table.items():
+        if key not in raw and default is _REQUIRED:
+            raise ValueError(f"missing required config key {key!r}")
+        try:
+            cfg[key] = cast(raw[key]) if key in raw else default
+        except ValueError:
+            raise ValueError(f"{key} must be {_CAST_NAMES[cast]}, got {raw[key]!r}") from None
+    return cfg
 
 
 def _run_dir(args, tag, cfg):
@@ -139,31 +163,26 @@ def _fit_window(t_end):
 # -- shared builders --------------------------------------------------
 
 
-def _setup(cfg, horizon_key, horizon_default, horizon_min=0.0):
-    """(grid, horizon, data) of a config, checked key by key in that order,
-    then the wrap-around guard for the data spreading over the horizon."""
-    spec = GridSpec(_get(cfg, "dimension", int, 1), _get(cfg, "L", float, None),
-                    _get(cfg, "N", int, None))
-    horizon = _get(cfg, horizon_key, float, horizon_default)
+def _setup(cfg, horizon_key, horizon_min):
+    """(grid, horizon, data) of a resolved config, checked in that order, then
+    the wrap-around guard for the data spreading over the horizon."""
+    spec = GridSpec(cfg["dimension"], cfg["L"], cfg["N"])
+    horizon = cfg[horizon_key]
     if not horizon_min < horizon < math.inf:
         raise ValueError(f"{horizon_key} must be finite and exceed {horizon_min:g}, got {horizon}")
-    width = _get(cfg, "width", float, 1.0)
-    center = _get(cfg, "center", float, 0.0)
-    data = make_data(spec, shape=_get(cfg, "shape", str, "gaussian"),
-                     amplitude=_get(cfg, "amplitude", float, 1.0), width=width,
-                     center=center, component="psi")
+    data = make_data(spec, shape=cfg["shape"], amplitude=cfg["amplitude"], width=cfg["width"],
+                     center=cfg["center"], component="psi")
     # Gaussian tails are below 1e-7 of the peak beyond 4 widths
-    check_torus_size(spec, horizon, abs(center) + 4.0 * width)
+    check_torus_size(spec, horizon, abs(cfg["center"]) + 4.0 * cfg["width"])
     return spec, horizon, data
 
 
-def _evolve(cfg, spec, data, t_max, sample_stride, keep_fields):
+def _evolve(cfg, spec, data, t_max, keep_fields):
     """(forcing, trajectory) of the config's modulus run from data to t_max."""
-    forcing = parse_forcing_spec(_get(cfg, "modulus", str, None), spec.dimension)
+    forcing = parse_forcing_spec(cfg["modulus"], spec.dimension)
     traj = evolve(EvolveConfig(
-        grid=spec, nonlinearity=forcing, data=data, dt=_get(cfg, "dt", float, 0.05),
-        t_max=t_max, sample_stride=_get(cfg, "sample_stride", int, sample_stride),
-        keep_fields=keep_fields))
+        grid=spec, nonlinearity=forcing, data=data, dt=cfg["dt"], t_max=t_max,
+        sample_stride=cfg["sample_stride"], keep_fields=keep_fields))
     return forcing, traj
 
 
@@ -171,14 +190,13 @@ def _evolve(cfg, spec, data, t_max, sample_stride, keep_fields):
 
 
 def cmd_classify(args, cfg):
-    spec_text = cfg.get("modulus") or (args.rest[0] if args.rest else None)
+    spec_text = cfg["modulus"] or (args.rest[0] if args.rest else None)
     if not spec_text:
         raise ValueError("need a modulus spec (positional or config key 'modulus')")
     modulus = parse_modulus_spec(spec_text)
     dini = classify_dini(modulus)
     slow = check_slow_variation(modulus)
-    n = _get(cfg, "dimension", int, 1)
-    convexity_min = check_h_convexity(Nonlinearity(modulus, n))
+    convexity_min = check_h_convexity(Nonlinearity(modulus, cfg["dimension"]))
     print(f"modulus          : {spec_text}")
     ratios = ", ".join(f"k={k}: {v:.6g}" for k, v in sorted(slow.items()))
     print(f"slow variation   : {ratios}")
@@ -204,7 +222,7 @@ _LEMMA_RATES = {"Linf": lambda n: -n / 2.0,
 def cmd_linear(args, cfg):
     t_start = time.perf_counter()
     # the sample times start at max(t_max / 100, 1), so t_max must exceed 1
-    spec, t_max, data = _setup(cfg, "t_max", 2000.0, horizon_min=1.0)
+    spec, t_max, data = _setup(cfg, "t_max", 1.0)
     times = np.geomspace(max(t_max * 0.01, 1.0), t_max, 45)
     series = linear_norm_series(data, times)
 
@@ -235,12 +253,12 @@ def cmd_linear(args, cfg):
 def _single_run(cfg):
     """Worker body shared by `run` and `sweep`; returns a result dict."""
     t_start = time.perf_counter()
-    spec, t_max, data = _setup(cfg, "t_max", 100.0)
-    _, traj = _evolve(cfg, spec, data, t_max, sample_stride=20, keep_fields=False)
+    spec, t_max, data = _setup(cfg, "t_max", 0.0)
+    _, traj = _evolve(cfg, spec, data, t_max, keep_fields=False)
     result = {
         "config_hash": config_hash(cfg),
-        "modulus": cfg.get("modulus", ""),
-        "amplitude": _get(cfg, "amplitude", float, 1.0),
+        "modulus": cfg["modulus"],
+        "amplitude": cfg["amplitude"],
         "outcome": traj.outcome,
         "t_est": traj.t_est,
         "xnorm": traj.xnorm,
@@ -273,32 +291,25 @@ def _sweep_worker(cfg):
         result.pop("series", None)
         return result
     except Exception as exc:  # isolate per-run failures
-        return {"config_hash": config_hash(cfg), "modulus": cfg.get("modulus", ""),
-                "amplitude": cfg.get("amplitude", ""), "outcome": "Failed",
+        return {"config_hash": config_hash(cfg), "modulus": cfg["modulus"],
+                "amplitude": cfg["amplitude"], "outcome": "Failed",
                 "t_est": math.nan, "error": str(exc)}
 
 
 def cmd_sweep(args, cfg):
-    moduli = _str_list(cfg.get("moduli", "")) or ([cfg["modulus"]] if "modulus" in cfg else [])
+    moduli = cfg["moduli"] or ([cfg["modulus"]] if cfg["modulus"] else [])
     if not moduli:
         raise ValueError("empty sweep list: set 'moduli' or 'modulus'")
-    epsilons = [None]
-    if "epsilons" in cfg:
-        epsilons = _float_list(cfg["epsilons"])
-        if not (epsilons and all(0 < e < math.inf for e in epsilons)
-                and all(a < b for a, b in zip(epsilons, epsilons[1:]))):
-            raise ValueError(f"epsilons must be positive, finite and strictly increasing, "
-                             f"got {cfg['epsilons']!r}")
-    jobs = []
-    for modulus in moduli:
-        for eps in epsilons:
-            job = dict(cfg)
-            job["modulus"] = modulus
-            if eps is not None:
-                job["amplitude"] = repr(eps)
-            job.pop("epsilons", None)
-            job.pop("moduli", None)
-            jobs.append(job)
+    epsilons = cfg["epsilons"]
+    if epsilons is None:
+        epsilons = [cfg["amplitude"]]
+    elif not (epsilons and all(0 < e < math.inf for e in epsilons)
+              and all(a < b for a, b in zip(epsilons, epsilons[1:]))):
+        raise ValueError(f"epsilons must be positive, finite and strictly increasing, "
+                         f"got {epsilons}")
+    # each job is the run config its own `dwlab run` would resolve to
+    run_keys = {key: cfg[key] for key in _CONFIG_KEYS["run"]}
+    jobs = [{**run_keys, "modulus": m, "amplitude": eps} for m in moduli for eps in epsilons]
     # a pool forks all its workers at once, so it gets no more than there are jobs
     workers = min(max(args.workers, 1), len(jobs))
     if workers == 1:
@@ -326,12 +337,11 @@ def cmd_sweep(args, cfg):
 
 
 def cmd_certificate(args, cfg):
-    if _get(cfg, "shape", str, "gaussian") == "dgaussian":
+    if cfg["shape"] == "dgaussian":
         raise ValueError("zero-mean data rejected (positive-mean hypothesis)")
-    spec, big_r, data = _setup(cfg, "R", 64.0)
-    r0 = _get(cfg, "r0", float, 16.0)
-    constant = weight_bound_constant(spec.dimension, r0)  # checks r0 before the run
-    forcing, traj = _evolve(cfg, spec, data, big_r, sample_stride=5, keep_fields=True)
+    spec, big_r, data = _setup(cfg, "R", 0.0)
+    constant = weight_bound_constant(spec.dimension, cfg["r0"])  # checks r0 before the run
+    forcing, traj = _evolve(cfg, spec, data, big_r, keep_fields=True)
     entries = [("config_hash", config_hash(cfg)), ("outcome", traj.outcome),
                ("t_est", traj.t_est)]
     if traj.outcome != Outcome.COMPLETED:
@@ -346,13 +356,13 @@ def cmd_certificate(args, cfg):
         y_rep = functional_y(traj, forcing, r_grid)
         y_swapped = functional_y_exchanged(traj, forcing, r_grid)
         modulus = getattr(forcing, "modulus", None)
-        entries += [("R", r_probe), ("r0", r0),
+        entries += [("R", r_probe), ("r0", cfg["r0"]),
                     ("constant_C", f"{constant:.6g}"), ("I_R", f"{i_r:.6g}"),
                     ("Y", f"{y_rep['Y']:.6g}"), ("Y_exchanged", f"{y_swapped:.6g}")]
         print(f"C = {constant:.4g}   I_R = {i_r:.6g}   Y = {y_rep['Y']:.6g}")
         if modulus is not None and y_rep["Y"] > 0:
             report = blowup_certificate(modulus, spec.dimension,
-                                        y_rep["Y"], constant, r0)
+                                        y_rep["Y"], constant, cfg["r0"])
             entries += [("budget", f"{report.budget:.6g}"),
                         ("lhs_final", f"{report.lhs_final:.6g}"),
                         ("crossing_R", report.crossing_r),
@@ -380,10 +390,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
     handler = {"classify": cmd_classify, "linear": cmd_linear, "run": cmd_run,
                "sweep": cmd_sweep, "certificate": cmd_certificate}[args.command]
-    # the one boundary for user errors: bad configs, specs, tables and files
+    # the one boundary for user errors: bad configs, arguments, specs, tables and files
     try:
-        cfg = parse_config(args.config) if args.config else {}
-        return handler(args, cfg)
+        if extra := args.rest[1 if args.command == "classify" else 0:]:  # classify's spec
+            raise ValueError(f"unexpected argument {extra[0]!r}")
+        raw = parse_config(args.config) if args.config else {}
+        return handler(args, resolve_config(args.command, raw))
     except (OSError, ValueError) as exc:
         print(f"dwlab {args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE

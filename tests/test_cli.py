@@ -1,10 +1,15 @@
 """Tests for the command-line front end: configs, exit codes, artifacts."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from dwlab import cli
-from dwlab.cli import config_hash, main, parse_config
+from dwlab.cli import config_hash, main, parse_config, resolve_config
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def _write_config(tmp_path, name, **kv):
@@ -47,6 +52,13 @@ def test_parse_config_rejects_bare_lines(tmp_path):
         parse_config(path)
 
 
+def test_parse_config_rejects_a_repeated_key(tmp_path):
+    path = tmp_path / "twice.cfg"
+    path.write_text("t_max = 2\nN = 512\nt_max = 3\n")
+    with pytest.raises(ValueError, match="'t_max'"):
+        parse_config(path)
+
+
 def test_config_hash_deterministic_and_order_free():
     a = {"L": "64", "N": "512"}
     b = {"N": "512", "L": "64"}
@@ -66,6 +78,15 @@ def _assert_one_line_usage_error(capsys, argv):
 
 def test_missing_config_file_is_usage_error(capsys):
     _assert_one_line_usage_error(capsys, ["classify", "--config", "/nonexistent/file.cfg"])
+
+
+# A small valid config per subcommand, holding only keys that subcommand reads.
+_DATA = dict(dimension=1, L=64.0, N=512, width=2.0)
+_VALID = {"classify": dict(modulus="invlog:p=2"),
+          "linear": dict(_DATA, t_max=5.0),
+          "run": dict(_DATA, t_max=5.0, dt=0.05, modulus="invlog:p=2"),
+          "sweep": dict(_DATA, t_max=5.0, dt=0.05, modulus="invlog:p=2", epsilons="0.2"),
+          "certificate": dict(_DATA, R=16.0, dt=0.05, modulus="invlog:p=2")}
 
 
 # (command, config overrides, a word the error line must contain)
@@ -119,16 +140,99 @@ _USER_ERRORS = [
 def test_user_errors_are_one_line(tmp_path, capsys, command, overrides, named):
     (tmp_path / "convex.txt").write_text("0 0\n0.5 0.1\n1 1\n")
     (tmp_path / "nan.txt").write_text("0 0\n0.1 nan\n1 1\n")
-    cfg = dict(dimension=1, L=64.0, N=512, t_max=5.0, R=16.0, dt=0.05, width=2.0,
-               modulus="invlog:p=2")
+    cfg = dict(_VALID[command])
     cfg.update({key: value.format(tmp=tmp_path) for key, value in overrides.items()})
     if command == "classify":
         argv = ["classify", cfg["modulus"]]
     else:
         argv = [command, "--config", _write_config(tmp_path, f"{command}.cfg", **cfg),
                 "--out", str(tmp_path / "out")]
-    assert named in _assert_one_line_usage_error(capsys, argv)
+    line = _assert_one_line_usage_error(capsys, argv)
+    assert named in line and "unknown config key" not in line
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, key", [
+    ("run", "R"), ("certificate", "t_max"), ("linear", "modulus"), ("run", "epsilons"),
+    ("classify", "L"), ("run", "t_mx"),
+])
+def test_unknown_config_key_is_usage_error(tmp_path, capsys, command, key):
+    # a typo or a key meant for another subcommand must not be dropped without a word
+    cfg = _write_config(tmp_path, f"{command}.cfg", **_VALID[command], **{key: "5"})
+    line = _assert_one_line_usage_error(capsys, [command, "--config", cfg,
+                                                 "--out", str(tmp_path / "out")])
+    assert f"unknown config key '{key}'" in line
+    assert not (tmp_path / "out").exists()
+
+
+def test_repeated_config_key_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in _VALID["run"].items()) + "t_max = 3\n")
+    line = _assert_one_line_usage_error(capsys, ["run", "--config", str(cfg),
+                                                 "--out", str(tmp_path / "out")])
+    assert "'t_max'" in line
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, rest", [
+    pytest.param(command, rest, id=command)
+    for command, rest in (("classify", ["invlog:p=2", "power:p=1"]), ("linear", ["foo", "bar"]),
+                          ("run", ["foo"]), ("sweep", ["foo"]), ("certificate", ["foo"]))
+])
+def test_stray_positional_argument_is_usage_error(tmp_path, capsys, command, rest):
+    cfg = _write_config(tmp_path, f"{command}.cfg", **_VALID[command])
+    line = _assert_one_line_usage_error(capsys, [command, *rest, "--config", cfg,
+                                                 "--out", str(tmp_path / "out")])
+    assert repr(rest[-1] if command == "classify" else rest[0]) in line
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_rejects_an_unparsable_value_before_any_job(tmp_path, capsys):
+    cfg = _write_config(tmp_path, "sweep.cfg", **{**_VALID["sweep"], "L": "abc"})
+    line = _assert_one_line_usage_error(capsys, ["sweep", "--config", cfg,
+                                                 "--out", str(tmp_path / "out")])
+    assert "L must be a number" in line
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_directory_is_named_by_the_resolved_config(tmp_path, capsys):
+    # 1, 1.0 and the default amplitude are one run, so they share one directory
+    out = tmp_path / "out"
+    base = dict(_DATA, t_max=1.0, modulus="power:p=1")
+    for i, amplitude in enumerate([{"amplitude": "1"}, {"amplitude": "1.0"}, {}]):
+        cfg = _write_config(tmp_path, f"run{i}.cfg", **base, **amplitude)
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert len(list(out.iterdir())) == 1
+
+
+def test_sweep_job_is_named_as_the_same_run(tmp_path, capsys):
+    base = dict(_DATA, t_max=1.0, modulus="power:p=1")
+    out = tmp_path / "out"
+    sweep_cfg = _write_config(tmp_path, "sweep.cfg", **base, epsilons="0.5")
+    run_cfg = _write_config(tmp_path, "run.cfg", **base, amplitude=0.5)
+    assert main(["sweep", "--config", sweep_cfg, "--out", str(out)]) == 0
+    assert main(["run", "--config", run_cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    (run_dir,) = out.glob("run-*")
+    (job_dir,) = [p for p in next(out.glob("sweep-*")).iterdir() if p.is_dir()]
+    assert run_dir.name == f"run-{job_dir.name}"
+
+
+_README_CONFIG = re.compile(r"^cat > (\S+) <<EOF\n(.*?)^EOF\ndwlab (\w+) --config (\S+)",
+                            re.M | re.S)
+
+
+def test_readme_configs_resolve(tmp_path):
+    # every config block in the README holds only keys its subcommand reads
+    text = README.read_text()
+    blocks = _README_CONFIG.findall(text)
+    assert blocks and len(blocks) == text.count("<<EOF")
+    for name, body, command, config in blocks:
+        assert config == name
+        path = tmp_path / name
+        path.write_text(body)
+        resolve_config(command, parse_config(path))
 
 
 # -- classify ---------------------------------------------------------
