@@ -121,10 +121,8 @@ def _run_dir(args, tag, cfg):
 
 
 def _write_csv(directory, name, columns):
-    keys = list(columns)
-    rows = zip(*(columns[k] for k in keys))
-    lines = [",".join(keys)]
-    lines += [",".join(repr(float(v)) for v in row) for row in rows]
+    rows = zip(*columns.values())
+    lines = [",".join(columns)] + [",".join(repr(float(v)) for v in row) for row in rows]
     (directory / name).write_text("\n".join(lines) + "\n")
 
 
@@ -205,6 +203,7 @@ def cmd_classify(args, cfg):
     print(f"analytic label   : {dini.analytic_label.value if dini.analytic_label else 'n/a'}")
     if dini.total_estimate is not None:
         print(f"total estimate   : {dini.total_estimate:.6g}")
+        print(f"tail share       : {1.0 - dini.dini_partial_sums.sum() / dini.total_estimate:.3g}")
     if dini.dini_verdict is Verdict.INCONCLUSIVE:
         return EXIT_INCONCLUSIVE
     if dini.analytic_label and dini.dini_verdict is not dini.analytic_label:
@@ -251,7 +250,7 @@ def cmd_linear(args, cfg):
 
 
 def _single_run(cfg):
-    """Worker body shared by `run` and `sweep`; returns a result dict."""
+    """Worker body shared by `run` and `sweep`: (result dict, norm series)."""
     t_start = time.perf_counter()
     spec, t_max, data = _setup(cfg, "t_max", 0.0)
     _, traj = _evolve(cfg, spec, data, t_max, keep_fields=False)
@@ -270,13 +269,11 @@ def _single_run(cfg):
             result["linf_slope"] = decay_fit(series, "Linf", _fit_window(traj.times[-1])).exponent
         except ValueError:
             pass
-    result["series"] = series
-    return result
+    return result, series
 
 
 def cmd_run(args, cfg):
-    result = _single_run(cfg)
-    series = result.pop("series")
+    result, series = _single_run(cfg)
     for key in ("outcome", "t_est", "xnorm"):
         print(f"{key:8s}: {result[key]}")
     out = _run_dir(args, "run", cfg)
@@ -287,9 +284,7 @@ def cmd_run(args, cfg):
 
 def _sweep_worker(cfg):
     try:
-        result = _single_run(cfg)
-        result.pop("series", None)
-        return result
+        return _single_run(cfg)[0]
     except Exception as exc:  # isolate per-run failures
         return {"config_hash": config_hash(cfg), "modulus": cfg["modulus"],
                 "amplitude": cfg["amplitude"], "outcome": "Failed",
@@ -311,7 +306,7 @@ def cmd_sweep(args, cfg):
     run_keys = {key: cfg[key] for key in _CONFIG_KEYS["run"]}
     jobs = [{**run_keys, "modulus": m, "amplitude": eps} for m in moduli for eps in epsilons]
     # a pool forks all its workers at once, so it gets no more than there are jobs
-    workers = min(max(args.workers, 1), len(jobs))
+    workers = min(args.workers, len(jobs))
     if workers == 1:
         results = [_sweep_worker(job) for job in jobs]
     else:
@@ -377,8 +372,13 @@ def cmd_certificate(args, cfg):
 # -- entry point ------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # `main` reports it as a one-line usage error
+        raise ValueError(message)
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dwlab",
         description="numerical laboratory for the semilinear damped wave equation")
     parser.add_argument("command",
@@ -386,18 +386,21 @@ def main(argv=None):
     parser.add_argument("rest", nargs="*", help="positional arguments of the subcommand")
     parser.add_argument("--config", help="key=value config file")
     parser.add_argument("--out", help="output root (default $DWLAB_OUT or ./dwlab_out)")
-    parser.add_argument("--workers", type=int, default=1)
-    args = parser.parse_args(argv)
-    handler = {"classify": cmd_classify, "linear": cmd_linear, "run": cmd_run,
-               "sweep": cmd_sweep, "certificate": cmd_certificate}[args.command]
-    # the one boundary for user errors: bad configs, arguments, specs, tables and files
+    parser.add_argument("--workers", type=int, default=1, help="sweep worker processes")
+    args = argparse.Namespace(command=None)
+    # the one boundary for user errors: bad arguments, configs, specs, tables and files
     try:
+        parser.parse_args(argv, namespace=args)
+        if args.workers < 1:
+            raise ValueError(f"--workers must be at least 1, got {args.workers}")
         if extra := args.rest[1 if args.command == "classify" else 0:]:  # classify's spec
             raise ValueError(f"unexpected argument {extra[0]!r}")
+        handler = {"classify": cmd_classify, "linear": cmd_linear, "run": cmd_run,
+                   "sweep": cmd_sweep, "certificate": cmd_certificate}[args.command]
         raw = parse_config(args.config) if args.config else {}
         return handler(args, resolve_config(args.command, raw))
     except (OSError, ValueError) as exc:
-        print(f"dwlab {args.command}: {exc}", file=sys.stderr)
+        print(f"dwlab{f' {args.command}' if args.command else ''}: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.integrate import quad
 
 __all__ = [
     "Kind",
@@ -499,12 +498,14 @@ def shell_integrals(f, lo, hi, epsabs, epsrel, limit=50):
         accept = (((abserr <= np.maximum(epsabs, epsrel * np.abs(result))) & (abserr != resasc))
                   | (abserr == 0)) & np.isfinite(result)
     for i in np.nonzero(~accept)[0]:
+        from scipy.integrate import quad  # here, so that only a refused panel loads scipy
         result[i], _ = quad(f, lo[i], hi[i], epsabs=epsabs, epsrel=epsrel, limit=limit)
     return result
 
 
 _DINI_SHELLS = 240  # dyadic shells of the Dini classifier
 _DINI_BASE = 0.01  # the upper end a of the shallowest shell
+_TAIL_RATIO, _TAIL_CUT, _TAIL_PANELS = 1.02, 1e-300, 2048  # tail panels: ratio, relative cut, cap
 
 
 def _dini_shells(modulus):
@@ -600,11 +601,17 @@ def classify_dini(modulus):
         # convergent within the band, but the fitted model's tail diverges
         return result(Verdict.CONVERGENT)
     # The shells sample the model at spacing ln 2 in w, so the tail of the
-    # series is (1/ln 2) times the model's integral past the last shell,
-    # taken in x = log w where the integrand is a power-log decay.
-    tail, _ = quad(lambda x: math.exp(lnA + (1.0 - c1) * x) * x ** -c2 * math.log(x) ** -c3,
-                   math.log(w0 + shells * ln2), math.inf)
-    return result(Verdict.CONVERGENT, partial + tail / ln2)
+    # series is (1/ln 2) times the model's integral past the last shell, in
+    # x = log w on geometric panels up to the first edge where it is negligible.
+    def model(x):
+        return np.exp(lnA + (1.0 - c1) * x) * x ** -c2 * np.log(x) ** -c3
+    edges = math.log(w0 + shells * ln2) * _TAIL_RATIO ** np.arange(_TAIL_PANELS + 1)
+    below = np.flatnonzero(model(edges) < _TAIL_CUT * model(edges[0]))
+    if not below.size:
+        return result(Verdict.CONVERGENT)  # the model decays too slowly to cut
+    cut = below[0]
+    tail = shell_integrals(model, edges[:cut], edges[1:cut + 1], epsabs=1.49e-8, epsrel=1.49e-8)
+    return result(Verdict.CONVERGENT, partial + float(np.sum(tail)) / ln2)
 
 
 def check_h_convexity(nonlinearity):

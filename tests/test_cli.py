@@ -8,6 +8,7 @@ import pytest
 
 from dwlab import cli
 from dwlab.cli import config_hash, main, parse_config, resolve_config
+from dwlab.modulus import classify_dini, parse_modulus_spec
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -67,11 +68,11 @@ def test_config_hash_deterministic_and_order_free():
     assert config_hash(a) != config_hash({"L": "64", "N": "1024"})
 
 
-def _assert_one_line_usage_error(capsys, argv):
+def _assert_one_line_usage_error(capsys, argv, prefix=None):
     assert main(argv) == 1
     captured = capsys.readouterr()
     lines = captured.err.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith(f"dwlab {argv[0]}: ")
+    assert len(lines) == 1 and lines[0].startswith(prefix or f"dwlab {argv[0]}: ")
     assert "Traceback" not in captured.err + captured.out
     return lines[0]
 
@@ -187,6 +188,35 @@ def test_stray_positional_argument_is_usage_error(tmp_path, capsys, command, res
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv, prefix, named", [
+    pytest.param(["sweep", "--config", "{sweep}", "--workers", "two"], "dwlab sweep: ", "'two'",
+                 id="workers=two"),
+    pytest.param(["sweep", "--config", "{sweep}", "--workers", "0"], "dwlab sweep: ",
+                 "--workers", id="workers=0"),
+    pytest.param(["sweep", "--workers", "-2", "--config", "{sweep}"], "dwlab sweep: ",
+                 "--workers", id="workers=-2"),
+    pytest.param(["classify", "--config", "{classify}", "invlog:p=2"], "dwlab classify: ",
+                 "unrecognized arguments: invlog:p=2", id="positional-after-config"),
+    pytest.param(["nosuch", "--config", "{sweep}"], "dwlab: ", "'nosuch'", id="unknown-command"),
+    pytest.param(["--config", "{sweep}"], "dwlab: ", "command", id="no-command"),
+])
+def test_argument_errors_are_one_line(tmp_path, capsys, argv, prefix, named):
+    # argparse's own errors exit 1 with one line too, not 2 with a usage block
+    configs = {command: _write_config(tmp_path, f"{command}.cfg", **_VALID[command])
+               for command in ("sweep", "classify")}
+    argv = [arg.format(**configs) for arg in argv] + ["--out", str(tmp_path / "out")]
+    line = _assert_one_line_usage_error(capsys, argv, prefix)
+    assert named in line
+    assert not (tmp_path / "out").exists()
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    assert exc.value.code == 0
+    assert "usage: dwlab" in capsys.readouterr().out
+
+
 def test_sweep_rejects_an_unparsable_value_before_any_job(tmp_path, capsys):
     cfg = _write_config(tmp_path, "sweep.cfg", **{**_VALID["sweep"], "L": "abc"})
     line = _assert_one_line_usage_error(capsys, ["sweep", "--config", cfg,
@@ -245,9 +275,20 @@ def test_classify_convergent_modulus(capsys):
     assert "slow variation" in out
 
 
+@pytest.mark.parametrize("spec", ["invlog:p=1.3", "invlog:p=2", "power:p=1"])
+def test_classify_prints_the_tail_share_of_the_total(capsys, spec):
+    assert main(["classify", spec]) == 0
+    dini = classify_dini(parse_modulus_spec(spec))
+    share = 1.0 - np.sum(dini.dini_partial_sums) / dini.total_estimate
+    assert f"tail share       : {share:.3g}\n" in capsys.readouterr().out
+    assert 0.0 <= share < 1.0
+
+
 def test_classify_divergent_modulus(capsys):
     assert main(["classify", "invlog:p=1"]) == 0
-    assert "Divergent" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "Divergent" in out
+    assert "total estimate" not in out and "tail share" not in out
 
 
 @pytest.mark.parametrize("p", ["1", "2"])

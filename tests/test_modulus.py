@@ -7,6 +7,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
@@ -307,6 +308,36 @@ def test_classifier_total_iterlog_exact():
     assert classify_dini(mu).total_estimate == pytest.approx(expected, rel=1e-2)
 
 
+# the moduli whose total comes from the fitted Bertrand model's tail
+_BERTRAND = ([("invlog", p, None) for p in (1.2, 1.5, 2.0, 3.0)]
+             + [("iterlog", p, 1) for p in (1.3, 1.5, 2.0)] + [("iterlog", 2.0, 2)])
+
+
+@pytest.mark.parametrize("kind, p, depth", _BERTRAND)
+def test_classifier_tail_matches_scalar_quad_of_the_fitted_model(kind, p, depth):
+    # refit the model to the shells as the classifier does and integrate its
+    # tail past the last shell with one scalar quad to infinity
+    result = classify_dini(catalog_make(kind, p=p, depth=depth))
+    shells = result.dini_partial_sums
+    n, w0, ln2 = len(shells), math.log(100.0), math.log(2.0)
+    w = w0 + (np.arange(n // 4, n) + 0.5) * ln2
+    X = np.column_stack([np.ones_like(w), np.log(w), np.log(np.log(w)), np.log(np.log(np.log(w)))])
+    ln_a, c1, c2, c3 = np.linalg.lstsq(X, np.log(shells[n // 4:]), rcond=None)[0] * [1, -1, -1, -1]
+    tail, _ = quad(lambda x: math.exp(ln_a + (1.0 - c1) * x) * x ** -c2 * math.log(x) ** -c3,
+                   math.log(w0 + n * ln2), math.inf)
+    assert result.dini_verdict is Verdict.CONVERGENT
+    assert result.total_estimate == pytest.approx(np.sum(shells) + tail / ln2, rel=1e-9)
+
+
+def test_classifier_gives_no_total_past_the_tail_panel_cap(monkeypatch):
+    # 16 panels of ratio 1.02 end at 1.37 times the last shell's log w,
+    # far short of where the model falls below 1e-300 of its first value
+    monkeypatch.setattr(modulus_module, "_TAIL_PANELS", 16)
+    result = classify_dini(catalog_make("invlog", p=2.0))
+    assert result.dini_verdict is Verdict.CONVERGENT
+    assert result.total_estimate is None
+
+
 def test_classifier_gives_no_total_for_a_diverging_model(monkeypatch):
     # c1 = 0.95 is on the boundary band and c2 = 2 makes the verdict
     # convergent, but the fitted model's own tail integral diverges
@@ -384,9 +415,10 @@ def test_quad_fallback_only_where_the_first_rule_fails(tmp_path, monkeypatch):
         calls.append(args[1:3])
         return quad(*args, **kwargs)
 
-    monkeypatch.setattr(modulus_module, "quad", counting_quad)
+    monkeypatch.setattr(scipy.integrate, "quad", counting_quad)
     for mu in _entries():
         _dini_shells(mu)
+        classify_dini(mu)  # the Bertrand tail too
     assert calls == []
     _dini_shells(_kinked(tmp_path))
     assert len(calls) >= 1
