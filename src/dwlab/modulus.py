@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
+import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -169,6 +170,13 @@ class Modulus:
         computed on first use and kept for the life of the modulus."""
         sst = self.continuation_point
         return self._raw(sst), self._raw_deriv(sst, 1)
+
+    @functools.cached_property
+    def _kinks(self):
+        """w = log(1/s) at the kinks of mu(exp(-w)): a table's knots, or s* (-inf if none)."""
+        if self.kind is Kind.CUSTOM:
+            return -np.log(self.table_s[1:])
+        return np.array([-math.log(self.continuation_point)])
 
     def _eval_nonneg(self, s):
         """mu on a float array s >= 0; a NaN argument gives NaN."""
@@ -314,9 +322,11 @@ def load_custom_modulus(path):
     concave: its secant slopes may not increase (up to relative round-off
     in the tabulated values), as a modulus of continuity requires.
     """
-    data = np.loadtxt(path, dtype=float)
-    if data.ndim != 2 or data.shape[1] != 2:
-        raise ModulusError(f"custom modulus table must have two columns: {path}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # numpy's "no data", reported below
+        data = np.loadtxt(path, dtype=float, ndmin=2)
+    if data.shape[1] != 2 or len(data) < 2:
+        raise ModulusError(f"custom modulus table must be at least two rows of two columns: {path}")
     if not np.all(np.isfinite(data)):
         raise ModulusError(f"custom modulus table has non-finite entries: {path}")
     s, mu = data[:, 0], data[:, 1]
@@ -454,17 +464,19 @@ _WG = np.array([
     0.295524224714752870173892994651338])
 
 
-def shell_integrals(f, lo, hi, epsabs, epsrel, limit=50):
-    """int_{lo_i}^{hi_i} f for every panel i, as scipy's quad returns them.
+def shell_integrals(f, edges, epsabs, epsrel, breaks=()):
+    """int f over every panel [edges[i], edges[i+1]], as quad(points=breaks) gives it.
 
-    f is called once, on the 21 Kronrod nodes of all panels together, and
-    the rule is summed in dqk21's order.  A panel keeps that value when it
-    passes the test dqagse applies to its first rule before it would
-    subdivide; any other panel, or one that is not finite, goes to quad
-    with the same epsabs, epsrel and limit (quad's default is 50).
+    Each panel is split at the breaks inside it (QUADPACK's dqagpe), f is
+    called once on the 21 Kronrod nodes of all pieces, and dqk21's rule is
+    summed in its own order.  A piece is accepted when it passes dqagse's
+    first-rule test, or when its estimate of int |f| is within epsabs (where
+    exp(-w) is subnormal f is a staircase, whose error estimate saturates);
+    any other piece raises ModulusError.
     """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
+    edges = np.asarray(edges, dtype=float)
+    cuts = np.union1d(edges, [b for b in breaks if edges[0] < b < edges[-1]])
+    lo, hi = cuts[:-1], cuts[1:]
     centre = 0.5 * (lo + hi)[:, None]
     half = 0.5 * (hi - lo)
     absc = half[:, None] * _XGK[:10]
@@ -472,7 +484,7 @@ def shell_integrals(f, lo, hi, epsabs, epsrel, limit=50):
     values = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
     left, right, fc = values[:, :10], values[:, 10:20], values[:, 20]
     eps = np.finfo(float).eps
-    # a non-finite panel is refused below and handed to quad
+    # a non-finite piece is refused below
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         resg = np.zeros_like(fc)
         resk = _WGK[10] * fc
@@ -495,12 +507,13 @@ def shell_integrals(f, lo, hi, epsabs, epsrel, limit=50):
         abserr = np.where((resasc != 0) & (abserr != 0), scaled, abserr)
         abserr = np.where(resabs > np.finfo(float).tiny / (50.0 * eps),
                           np.maximum(50.0 * eps * resabs, abserr), abserr)
-        accept = (((abserr <= np.maximum(epsabs, epsrel * np.abs(result))) & (abserr != resasc))
-                  | (abserr == 0)) & np.isfinite(result)
-    for i in np.nonzero(~accept)[0]:
-        from scipy.integrate import quad  # here, so that only a refused panel loads scipy
-        result[i], _ = quad(f, lo[i], hi[i], epsabs=epsabs, epsrel=epsrel, limit=limit)
-    return result
+        accept = ((((abserr <= np.maximum(epsabs, epsrel * np.abs(result))) & (abserr != resasc))
+                   | (abserr == 0) | (resabs <= epsabs)) & np.isfinite(result))
+    if not accept.all():
+        i = np.flatnonzero(~accept)[0]
+        raise ModulusError(f"quadrature refused the piece [{lo[i]:.17g}, {hi[i]:.17g}]: "
+                           f"value {result[i]:.3g}, error estimate {abserr[i]:.3g}")
+    return np.add.reduceat(result, np.searchsorted(cuts, edges[:-1]))
 
 
 _DINI_SHELLS = 240  # dyadic shells of the Dini classifier
@@ -517,9 +530,8 @@ def _dini_shells(modulus):
     """
     w0 = -math.log(_DINI_BASE)
     ln2 = math.log(2.0)
-    k = np.arange(_DINI_SHELLS)
-    return shell_integrals(modulus.eval_neglog, w0 + k * ln2, w0 + (k + 1) * ln2,
-                           epsabs=1e-10, epsrel=1e-10, limit=200), w0
+    return shell_integrals(modulus.eval_neglog, w0 + np.arange(_DINI_SHELLS + 1) * ln2,
+                           epsabs=1e-10, epsrel=1e-10, breaks=modulus._kinks), w0
 
 
 @dataclass(frozen=True)
@@ -566,8 +578,6 @@ def classify_dini(modulus):
         # the deepest shell still lies in the linear continuation, so no
         # shell sees the defining formula
         return result(Verdict.INCONCLUSIVE)
-    if np.any(~np.isfinite(S)) or np.any(S < -1e-12):
-        return result(Verdict.INCONCLUSIVE)  # quadrature failure in the shells
 
     ln2 = math.log(2.0)
     partial = float(np.sum(S))
@@ -610,7 +620,7 @@ def classify_dini(modulus):
     if not below.size:
         return result(Verdict.CONVERGENT)  # the model decays too slowly to cut
     cut = below[0]
-    tail = shell_integrals(model, edges[:cut], edges[1:cut + 1], epsabs=1.49e-8, epsrel=1.49e-8)
+    tail = shell_integrals(model, edges[:cut + 1], epsabs=1.49e-8, epsrel=1.49e-8)
     return result(Verdict.CONVERGENT, partial + float(np.sum(tail)) / ln2)
 
 

@@ -348,10 +348,10 @@ def blowup_certificate(modulus, dimension, y_r0, constant, r0, r_max=1e300):
     x_end = math.log(r_max)
     step = math.log(10.0) / _SHELLS_PER_DECADE
     edges = [math.log(r0)]
-    while edges[-1] < x_end:
-        edges.append(min(edges[-1] + step, x_end))
-    running = np.cumsum(shell_integrals(integrand, edges[:-1], edges[1:],
-                                        epsabs=1e-14, epsrel=1e-10))
+    while edges[-1] < x_end:  # a last shell under a millionth of a step joins the one before
+        edges.append(edges[-1] + step if edges[-1] + step < x_end - 1e-6 * step else x_end)
+    running = np.cumsum(shell_integrals(integrand, edges, epsabs=1e-14, epsrel=1e-10,
+                                        breaks=(modulus._kinks + ln_c2) / (n / 2.0)))
     over = np.flatnonzero(running > budget)
     certified = over.size > 0
     # the scan stops at the upper edge of the first shell over budget

@@ -97,6 +97,12 @@ _USER_ERRORS = [
     for spec in ("custom:{tmp}/missing.txt", "custom:{tmp}/convex.txt",
                  "custom:{tmp}/nan.txt", "oracle:p=2")
 ] + [
+    # a table too short to interpolate says so in one line, without numpy's
+    # empty-file warning (raised as an error here) or a wrong "two columns"
+    pytest.param(command, {"modulus": f"custom:{{tmp}}/{name}"}, "two rows",
+                 id=f"{name}-{command}", marks=pytest.mark.filterwarnings("error"))
+    for command in ("classify", "run", "certificate") for name in ("empty.txt", "onerow.txt")
+] + [
     # NaN compares false with every bound, so each check must be written lo < x < inf
     pytest.param(command, {key: "nan"}, "", id=f"{key}=nan-{command}")
     for command, key in (("run", "L"), ("run", "dt"), ("linear", "L"), ("certificate", "L"))
@@ -141,6 +147,8 @@ _USER_ERRORS = [
 def test_user_errors_are_one_line(tmp_path, capsys, command, overrides, named):
     (tmp_path / "convex.txt").write_text("0 0\n0.5 0.1\n1 1\n")
     (tmp_path / "nan.txt").write_text("0 0\n0.1 nan\n1 1\n")
+    (tmp_path / "empty.txt").write_text("")
+    (tmp_path / "onerow.txt").write_text("0 0\n")
     cfg = dict(_VALID[command])
     cfg.update({key: value.format(tmp=tmp_path) for key, value in overrides.items()})
     if command == "classify":

@@ -7,7 +7,6 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
@@ -28,7 +27,9 @@ from dwlab.modulus import (
     load_custom_modulus,
     parse_forcing_spec,
     parse_modulus_spec,
+    shell_integrals,
 )
+from dwlab.testfunction import blowup_certificate, weight_bound_constant
 
 CATALOG = [
     ("power", 0.5, None),
@@ -380,9 +381,9 @@ def test_classifier_divergent_partial_sums_grow():
     assert running[-1] > 1.2 * running[len(running) // 4]
 
 
-# A concave table whose kinks at 1e-12 and 1e-6 fall inside shells; the one
-# at 1e-12 is so small that the 21-point error estimate saturates (equals
-# resasc) while still under the absolute tolerance.
+# A concave table whose kinks at 1e-12 and 1e-6 fall inside shells; unsplit,
+# the shell of the one at 1e-12 is so small that the 21-point error estimate
+# saturates (equals resasc) while still under the absolute tolerance.
 _KINKED_TABLE = "0 0\n1e-12 1e-12\n1e-6 1e-8\n1e-2 2e-5\n1 1e-4\n"
 
 
@@ -392,36 +393,103 @@ def _kinked(tmp_path):
     return load_custom_modulus(path)
 
 
-def _shells_by_quad(mu, shells=240, base=0.01):
-    """The per-shell loop that `_dini_shells` replaced: one scalar quad each."""
-    w0, ln2 = -math.log(base), math.log(2.0)
-    return np.array([quad(mu.eval_neglog, w0 + k * ln2, w0 + (k + 1) * ln2,
-                          epsabs=1e-10, epsrel=1e-10, limit=200)[0] for k in range(shells)])
+def _kink_ws(mu):
+    """w = log(1/s) at the kinks of mu(exp(-w)): a table's knots, or s*."""
+    if mu.table_s is not None:
+        return -np.log(mu.table_s[1:])
+    return np.array([-math.log(mu.continuation_point)])
 
 
-@pytest.mark.parametrize("entry", CATALOG + [("kinked", None, None)],
+def _shell_edges(shells=240, base=0.01):
+    return -math.log(base) + np.arange(shells + 1) * math.log(2.0)
+
+
+def _shells_by_quad(mu, epsabs=1e-10, epsrel=1e-10):
+    """The per-shell loop that `_dini_shells` replaced: one scalar quad each,
+    given the kinks inside the shell as break points."""
+    edges, kinks = _shell_edges(), _kink_ws(mu)
+    out = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        points = kinks[(kinks > lo) & (kinks < hi)]
+        out.append(quad(mu.eval_neglog, lo, hi, epsabs=epsabs, epsrel=epsrel, limit=200,
+                        points=points if points.size else None)[0])
+    return np.array(out)
+
+
+# entries with a kink inside a Dini shell: iterlog's continuation point, a table's knots
+_KINKED_ENTRIES = [("iterlog", 3.0, 1), ("iterlog", 2.0, 2), ("kinked", None, None)]
+
+
+@pytest.mark.parametrize("entry", CATALOG + _KINKED_ENTRIES,
                          ids=lambda e: "-".join(str(v) for v in e if v is not None))
 def test_dini_shells_match_scalar_quad(tmp_path, entry):
     kind, p, depth = entry
     mu = _kinked(tmp_path) if kind == "kinked" else catalog_make(kind, p=p, depth=depth)
     shells, _ = _dini_shells(mu)
     np.testing.assert_allclose(shells, _shells_by_quad(mu), rtol=1e-13, atol=0.0)
+    # a shell that holds a kink is split there, so it is as good as a tight oracle
+    edges, kinks = _shell_edges(), _kink_ws(mu)
+    kinked = np.unique(np.searchsorted(edges, kinks[(kinks > edges[0]) & (kinks < edges[-1])]) - 1)
+    assert (kinked.size > 0) == (entry in _KINKED_ENTRIES)
+    tight = _shells_by_quad(mu, epsabs=0.0, epsrel=1e-13)
+    np.testing.assert_allclose(shells[kinked], tight[kinked], rtol=1e-13, atol=0.0)
 
 
-def test_quad_fallback_only_where_the_first_rule_fails(tmp_path, monkeypatch):
-    calls = []
+# -- shell_integrals: panels split at their breaks, and a refused piece raises
 
-    def counting_quad(*args, **kwargs):
-        calls.append(args[1:3])
-        return quad(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.integrate, "quad", counting_quad)
-    for mu in _entries():
-        _dini_shells(mu)
-        classify_dini(mu)  # the Bertrand tail too
-    assert calls == []
-    _dini_shells(_kinked(tmp_path))
-    assert len(calls) >= 1
+def _vee(x, c=1.0 / 3.0):
+    """|x - c|, kinked at c."""
+    return np.abs(x - c)
+
+
+def test_shell_integrals_raises_on_a_refused_piece():
+    with pytest.raises(ModulusError, match=r"refused the piece \[0, 1\]"):
+        shell_integrals(_vee, [0.0, 1.0], epsabs=1e-10, epsrel=1e-10)
+
+
+def test_shell_integrals_splits_a_panel_at_its_break():
+    c = 1.0 / 3.0
+    (value,) = shell_integrals(_vee, [0.0, 1.0], epsabs=1e-10, epsrel=1e-10, breaks=[c])
+    assert abs(value - (c ** 2 / 2 + (1 - c) ** 2 / 2)) <= 1e-15
+
+
+def test_shell_integrals_ignores_breaks_on_edges_and_outside():
+    edges = np.linspace(0.5, 3.0, 6)
+    plain = shell_integrals(np.exp, edges, epsabs=1e-10, epsrel=1e-10)
+    for breaks in ([1.0, 2.5], [-1.0, 3.0, 7.0], [-np.inf, np.inf], edges):
+        out = shell_integrals(np.exp, edges, epsabs=1e-10, epsrel=1e-10, breaks=breaks)
+        assert np.array_equal(out, plain)
+
+
+def test_shell_integrals_accepts_a_subnormal_staircase():
+    # mu(c2 r^{-1/2}) with c2 ~ 1e-300 goes through exp(-w), which is subnormal
+    # past w ~ 708: a staircase whose error estimate saturates, worth <= epsabs
+    mu = parse_modulus_spec("logplus:p=0.5")
+    report = blowup_certificate(mu, 1, y_r0=1e-300, constant=weight_bound_constant(1, 16.0),
+                                r0=16.0)
+    assert report.verdict == "bounded-no-witness"
+    assert 0.0 < report.lhs_final < report.budget
+
+
+def test_no_piece_is_refused_over_catalog_and_random_tables(tmp_path):
+    rng = np.random.default_rng(20261019)
+    moduli = _entries()
+    for i in range(5):
+        # a random concave table: knots over 14 decades, decreasing positive slopes
+        s = np.concatenate([[0.0], np.sort(10.0 ** rng.uniform(-14, 0.5, rng.integers(3, 9)))])
+        slopes = np.sort(np.exp(rng.normal(0.0, 3.0, s.size - 1)))[::-1]
+        mu = np.concatenate([[0.0], np.cumsum(slopes * np.diff(s))])
+        path = tmp_path / f"table{i}.txt"
+        np.savetxt(path, np.column_stack([s, mu]))
+        moduli.append(load_custom_modulus(path))
+    for mu in moduli:
+        classify_dini(mu)
+        for n in (1, 2):
+            constant = weight_bound_constant(n, 16.0)
+            for y_r0 in (1e-300, 1e-20, 0.02, 5.0):
+                for r_max in (1e300, 160.0):
+                    blowup_certificate(mu, n, y_r0, constant, 16.0, r_max=r_max)
 
 
 # -- the composed nonlinearity ----------------------------------------

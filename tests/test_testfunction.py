@@ -476,7 +476,8 @@ def test_certificate_flags_follow_the_verdict(kind, params, y_r0, constant, verd
 
 
 def _certificate_by_loop(mu, n, ln_c2, budget, r0, r_max):
-    """The shell loop `blowup_certificate` replaced, eight shells a decade:
+    """The shell loop `blowup_certificate` replaced, eight shells a decade,
+    each given mu's continuation kink as a break point if it holds it:
     (lhs_final, crossing_r)."""
 
     def integrand(x):
@@ -484,10 +485,12 @@ def _certificate_by_loop(mu, n, ln_c2, budget, r0, r_max):
 
     x, x_end = math.log(r0), math.log(r_max)
     step = math.log(10.0) / 8
+    kink = (-math.log(mu.continuation_point) + ln_c2) / (n / 2.0)
     total, crossing = 0.0, math.inf
     while x < x_end:
         hi = min(x + step, x_end)
-        total += quad(integrand, x, hi, epsabs=1e-14, epsrel=1e-10)[0]
+        total += quad(integrand, x, hi, epsabs=1e-14, epsrel=1e-10,
+                      points=[kink] if x < kink < hi else None)[0]
         x = hi
         if total > budget:
             crossing = math.exp(x)
@@ -502,9 +505,11 @@ def _certificate_by_loop(mu, n, ln_c2, budget, r0, r_max):
     ("power", 1.0, 0.02, None, 1e300, "bounded-no-witness"),
     ("invlog", 1.0, 5.0, 2.0, 1e300, "witness-observed"),
     ("invlog", 1.0, 0.02, None, 160.0, "witness-beyond-range"),
+    # iterlog depth 1: the kink at x ~ 7.09 lies inside a shell before the crossing
+    ("iterlog", 1.0, 5.0, 2.5, 1e300, "witness-observed"),
 ])
 def test_certificate_matches_scalar_shell_loop(kind, p, y_r0, constant, r_max, verdict):
-    mu = catalog_make(kind, p=p)
+    mu = catalog_make(kind, p=p, depth=1 if kind == "iterlog" else None)
     constant = constant or weight_bound_constant(1, 16.0)
     report = blowup_certificate(mu, 1, y_r0=y_r0, constant=constant, r0=16.0, r_max=r_max)
     ln_c2 = math.log(y_r0) - math.log(constant ** 2 * math.log(2.0))
@@ -513,6 +518,15 @@ def test_certificate_matches_scalar_shell_loop(kind, p, y_r0, constant, r_max, v
     assert report.certified == math.isfinite(crossing)
     assert report.crossing_r == crossing
     assert report.lhs_final == pytest.approx(lhs, rel=1e-13, abs=0.0)
+
+
+def test_certificate_merges_a_sliver_last_shell():
+    # 240 steps of ln(10)/8 from log 1 stop 2e-13 short of log 1e30; that sliver,
+    # on iterlog depth 3's steep continuation, is a piece the rule cannot accept
+    mu = catalog_make("iterlog", p=1.0, depth=3)
+    report = blowup_certificate(mu, 1, y_r0=1e-50, constant=weight_bound_constant(1, 1.0),
+                                r0=1.0, r_max=1e30)
+    assert report.verdict == "inconclusive" and report.lhs_final > 0.0
 
 
 @pytest.mark.parametrize("bad", [dict(r_max=math.inf), dict(r_max=math.nan), dict(r_max=16.0),
