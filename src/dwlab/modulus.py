@@ -337,8 +337,9 @@ def load_custom_modulus(path):
     slopes = np.diff(mu) / np.diff(s)
     if np.any(np.diff(slopes) > 1e-9 * np.max(slopes)):
         raise ModulusError(f"custom modulus table is not concave (secant slopes increase): {path}")
+    # mu(s) <= slope_1 s from (0, 0), so the Dini integral always converges
     return Modulus(Kind.CUSTOM, {}, continuation_point=float(s[-1]),
-                   table_s=s, table_mu=mu)
+                   analytic_dini_label=Verdict.CONVERGENT, table_s=s, table_mu=mu)
 
 
 def parse_modulus_spec(text):
@@ -518,7 +519,6 @@ def shell_integrals(f, edges, epsabs, epsrel, breaks=()):
 
 _DINI_SHELLS = 240  # dyadic shells of the Dini classifier
 _DINI_BASE = 0.01  # the upper end a of the shallowest shell
-_TAIL_RATIO, _TAIL_CUT, _TAIL_PANELS = 1.02, 1e-300, 2048  # tail panels: ratio, relative cut, cap
 
 
 def _dini_shells(modulus):
@@ -534,27 +534,34 @@ def _dini_shells(modulus):
                            epsabs=1e-10, epsrel=1e-10, breaks=modulus._kinks), w0
 
 
+def _dini_tail(modulus, w):
+    """int_w^inf mu(exp(-v)) dv in closed form, for w past the continuation point;
+    for the log families of depth d it is L_{d+1}(w)^{1-p}/(p-1), or inf if p <= 1."""
+    p = modulus.params.get("p")
+    if modulus.kind in (Kind.POWER, Kind.LOGPLUS):
+        return math.exp(-p * w) / p  # log(1+e^-v)^p = e^-pv (1 + O(e^-v))
+    if modulus.kind is Kind.CUSTOM:
+        # int_0^x mu(s)/s ds, x = exp(-w): a linear piece mu = c_i + k_i s on
+        # [s_i, s_{i+1}] adds k_i (s_{i+1} - s_i) + c_i log(s_{i+1}/s_i); c_0 = 0
+        x = math.exp(-w)
+        s = np.append(modulus.table_s[modulus.table_s < x], x)
+        mu = modulus.eval(s)
+        k = np.diff(mu) / np.diff(s)
+        return float(mu[-1] + np.sum((mu[1:-1] - k[1:] * s[1:-1]) * np.log(s[2:] / s[1:-1])))
+    last = _nested_logs(w, modulus.params.get("depth", 0) + 1)[-1]
+    return float(last ** (1.0 - p) / (p - 1.0)) if p > 1.0 else math.inf
+
+
 @dataclass(frozen=True)
 class DiniResult:
-    """The Dini classifier's verdict, the catalog's analytic label (None
-    for custom tables), the dyadic shell integrals and, for a convergent
-    verdict, an estimate of the whole integral."""
+    """The Dini classifier's verdict, the analytic label, the dyadic shell
+    integrals and, for a convergent verdict, the whole integral: the shell
+    sum plus the closed-form tail past the last shell (None if it diverges)."""
 
     dini_verdict: Verdict
     analytic_label: Verdict | None
     dini_partial_sums: np.ndarray = field(repr=False)
     total_estimate: float | None = None
-
-
-def _beyond_boundary(c, band):
-    """Whether (c1, c2, c3) exceeds (1, 1, 1) lexicographically, a component
-    within ``band`` of 1 counting as equal to it."""
-    for ci in c:
-        if ci > 1.0 + band:
-            return True
-        if ci < 1.0 - band:
-            return False
-    return False
 
 
 def classify_dini(modulus):
@@ -566,7 +573,8 @@ def classify_dini(modulus):
     abscissa), whose series converges iff (c1, c2, c3) exceeds (1, 1, 1)
     lexicographically.  Boundary fits are classified divergent, matching
     the closed catalog; an Inconclusive verdict covers fit failures and
-    moduli whose continuation point lies past the deepest shell.
+    moduli whose continuation point lies past the deepest shell.  The
+    total is the shell sum plus mu's closed-form tail past the last shell.
     """
     S, w0 = _dini_shells(modulus)
     shells = len(S)
@@ -580,17 +588,17 @@ def classify_dini(modulus):
         return result(Verdict.INCONCLUSIVE)
 
     ln2 = math.log(2.0)
-    partial = float(np.sum(S))
+    tail = _dini_tail(modulus, w0 + shells * ln2)
+    total = float(np.sum(S)) + tail if tail < math.inf else None
     # underflow plateau: mu already negligible, series trivially summable
     if not S[-1] > 1e-280:
-        return result(Verdict.CONVERGENT, partial)
+        return result(Verdict.CONVERGENT, total)
 
     half = shells // 2
     ratios = S[half + 1:] / S[half:-1]
     med = float(np.median(ratios))
     if med < 0.9 and float(np.max(ratios)) < 0.95:
-        r = float(S[-1] / S[-2])
-        return result(Verdict.CONVERGENT, partial + float(S[-1] * r / (1.0 - r)))
+        return result(Verdict.CONVERGENT, total)
     if med > 1.0 + 1e-9:
         return result(Verdict.DIVERGENT)
 
@@ -601,27 +609,17 @@ def classify_dini(modulus):
                          np.log(np.log(w_fit)), np.log(np.log(np.log(w_fit)))])
     coef, *_ = np.linalg.lstsq(X, y, rcond=None)
     rms = float(np.sqrt(np.mean((y - X @ coef) ** 2)))
-    lnA = float(coef[0])
     c1, c2, c3 = (float(-v) for v in coef[1:])
     if not all(np.isfinite(v) for v in (c1, c2, c3)) or rms > 0.1:
         return result(Verdict.INCONCLUSIVE)  # the shell model does not fit
-    if not _beyond_boundary((c1, c2, c3), 0.1):
-        return result(Verdict.DIVERGENT)
-    if not _beyond_boundary((c1, c2, c3), 0.0):
-        # convergent within the band, but the fitted model's tail diverges
-        return result(Verdict.CONVERGENT)
-    # The shells sample the model at spacing ln 2 in w, so the tail of the
-    # series is (1/ln 2) times the model's integral past the last shell, in
-    # x = log w on geometric panels up to the first edge where it is negligible.
-    def model(x):
-        return np.exp(lnA + (1.0 - c1) * x) * x ** -c2 * np.log(x) ** -c3
-    edges = math.log(w0 + shells * ln2) * _TAIL_RATIO ** np.arange(_TAIL_PANELS + 1)
-    below = np.flatnonzero(model(edges) < _TAIL_CUT * model(edges[0]))
-    if not below.size:
-        return result(Verdict.CONVERGENT)  # the model decays too slowly to cut
-    cut = below[0]
-    tail = shell_integrals(model, edges[:cut + 1], epsabs=1.49e-8, epsrel=1.49e-8)
-    return result(Verdict.CONVERGENT, partial + float(np.sum(tail)) / ln2)
+    # convergent iff (c1, c2, c3) exceeds (1, 1, 1) lexicographically, a
+    # component within 0.1 of 1 counting as equal to it
+    for c in (c1, c2, c3):
+        if c > 1.1:
+            return result(Verdict.CONVERGENT, total)
+        if c < 0.9:
+            break
+    return result(Verdict.DIVERGENT)
 
 
 def check_h_convexity(nonlinearity):

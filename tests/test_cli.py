@@ -283,13 +283,31 @@ def test_classify_convergent_modulus(capsys):
     assert "slow variation" in out
 
 
-@pytest.mark.parametrize("spec", ["invlog:p=1.3", "invlog:p=2", "power:p=1"])
+@pytest.mark.filterwarnings("error")  # a slowly decaying tail must not overflow
+@pytest.mark.parametrize("spec", ["invlog:p=1.3", "invlog:p=2", "power:p=1", "power:p=0.1",
+                                  "logplus:p=0.05", "iterlog:p=1.15,depth=1"])
 def test_classify_prints_the_tail_share_of_the_total(capsys, spec):
     assert main(["classify", spec]) == 0
     dini = classify_dini(parse_modulus_spec(spec))
     share = 1.0 - np.sum(dini.dini_partial_sums) / dini.total_estimate
-    assert f"tail share       : {share:.3g}\n" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert f"tail share       : {share:.3g}\n" in out
     assert 0.0 <= share < 1.0
+    if spec == "iterlog:p=1.15,depth=1":
+        assert "tail share       : 0.834\n" in out
+
+
+def test_classify_flags_a_table_whose_steep_piece_lies_past_the_shells(tmp_path, capsys):
+    # every table converges (mu(s) <= slope_1 s; this one to 2.27e-28), but its
+    # only steep piece lies below 1e-100, past the deepest shell, so its shells
+    # are flat and the verdict is Divergent: a mismatch, and exit 2
+    path = tmp_path / "deep.txt"
+    path.write_text("0 0\n1e-100 1e-30\n1e-2 1.5e-30\n1 2e-30\n")
+    assert main(["classify", f"custom:{path}"]) == 2
+    captured = capsys.readouterr()
+    assert "integral verdict : Divergent" in captured.out
+    assert "analytic label   : Convergent" in captured.out
+    assert "MISMATCH" in captured.err
 
 
 def test_classify_divergent_modulus(capsys):

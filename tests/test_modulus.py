@@ -20,6 +20,7 @@ from dwlab.modulus import (
     PowerForcing,
     Verdict,
     _dini_shells,
+    _dini_tail,
     catalog_make,
     check_h_convexity,
     check_slow_variation,
@@ -286,16 +287,16 @@ def test_classifier_tail_matches_closed_form():
     # (p-1)^-1 (log 1/a)^{1-p}; with p=2, a=0.01 that is 1/log(100).
     result = classify_dini(catalog_make("invlog", p=2.0))
     expected = 1.0 / math.log(100.0)
-    assert result.total_estimate == pytest.approx(expected, rel=1e-3)
+    assert result.total_estimate == pytest.approx(expected, rel=1e-12)
 
 
-@pytest.mark.parametrize("p", [1.2, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("p", [1.1, 1.2, 1.5, 2.0, 3.0])
 def test_classifier_total_invlog_closed_form(p):
-    # near p = 1 the tail past the last shell is most of the integral, so
-    # a truncated tail sum is too small here (by 8% at p = 1.2)
+    # the same closed form for other p.  Near p = 1 the tail past the last
+    # shell is most of the integral (70% at p = 1.1).
     result = classify_dini(catalog_make("invlog", p=p))
     expected = math.log(100.0) ** (1.0 - p) / (p - 1.0)
-    assert result.total_estimate == pytest.approx(expected, rel=5e-4)
+    assert result.total_estimate == pytest.approx(expected, rel=1e-12)
 
 
 def test_classifier_total_iterlog_exact():
@@ -306,47 +307,88 @@ def test_classifier_total_iterlog_exact():
     head, _ = quad(mu.eval_neglog, w0, w_star, epsabs=1e-13, epsrel=1e-12)
     expected = head + 1.0 / math.log(w_star)
     assert expected == pytest.approx(0.6548, abs=1e-4)
-    assert classify_dini(mu).total_estimate == pytest.approx(expected, rel=1e-2)
+    assert classify_dini(mu).total_estimate == pytest.approx(expected, rel=1e-10)
 
 
-# the moduli whose total comes from the fitted Bertrand model's tail
-_BERTRAND = ([("invlog", p, None) for p in (1.2, 1.5, 2.0, 3.0)]
-             + [("iterlog", p, 1) for p in (1.3, 1.5, 2.0)] + [("iterlog", 2.0, 2)])
+def _nested_log(w, depth):
+    for _ in range(depth):
+        w = mpmath.log(w)
+    return w
 
 
-@pytest.mark.parametrize("kind, p, depth", _BERTRAND)
-def test_classifier_tail_matches_scalar_quad_of_the_fitted_model(kind, p, depth):
-    # refit the model to the shells as the classifier does and integrate its
-    # tail past the last shell with one scalar quad to infinity
-    result = classify_dini(catalog_make(kind, p=p, depth=depth))
-    shells = result.dini_partial_sums
-    n, w0, ln2 = len(shells), math.log(100.0), math.log(2.0)
-    w = w0 + (np.arange(n // 4, n) + 0.5) * ln2
-    X = np.column_stack([np.ones_like(w), np.log(w), np.log(np.log(w)), np.log(np.log(np.log(w)))])
-    ln_a, c1, c2, c3 = np.linalg.lstsq(X, np.log(shells[n // 4:]), rcond=None)[0] * [1, -1, -1, -1]
-    tail, _ = quad(lambda x: math.exp(ln_a + (1.0 - c1) * x) * x ** -c2 * math.log(x) ** -c3,
-                   math.log(w0 + n * ln2), math.inf)
+@pytest.mark.parametrize("p, depth", [(1.15, 1), (1.5, 1), (3.0, 1), (1.5, 2), (2.0, 2), (3.0, 2)])
+def test_classifier_total_iterlog_matches_mpmath(p, depth):
+    # the linear continuation from log 100 to w* by mpmath, then the formula's
+    # integral L_{d+1}^{1-p}/(p-1) to infinity
+    mu = catalog_make("iterlog", p=p, depth=depth)
+    (mu_star, slope), s_star = mu._continuation, mu.continuation_point
+    w0 = math.log(100.0)
+    w1 = max(w0, -math.log(s_star))
+    head = mpmath.quad(lambda w: mu_star + slope * (mpmath.exp(-w) - s_star), [w0, w1])
+    expected = head + _nested_log(mpmath.mpf(w1), depth) ** (1.0 - p) / (p - 1.0)
+    result = classify_dini(mu)
     assert result.dini_verdict is Verdict.CONVERGENT
-    assert result.total_estimate == pytest.approx(np.sum(shells) + tail / ln2, rel=1e-9)
+    assert result.total_estimate == pytest.approx(float(expected), rel=1e-12)
 
 
-def test_classifier_gives_no_total_past_the_tail_panel_cap(monkeypatch):
-    # 16 panels of ratio 1.02 end at 1.37 times the last shell's log w,
-    # far short of where the model falls below 1e-300 of its first value
-    monkeypatch.setattr(modulus_module, "_TAIL_PANELS", 16)
-    result = classify_dini(catalog_make("invlog", p=2.0))
-    assert result.dini_verdict is Verdict.CONVERGENT
-    assert result.total_estimate is None
+_DINI_END = math.log(100.0) + 240 * math.log(2.0)  # where the deepest shell ends
 
 
-def test_classifier_gives_no_total_for_a_diverging_model(monkeypatch):
-    # c1 = 0.95 is on the boundary band and c2 = 2 makes the verdict
-    # convergent, but the fitted model's own tail integral diverges
+@pytest.mark.parametrize("b", [1e3, 1e6])
+@pytest.mark.parametrize("kind, p, depth", [("power", 0.1, None), ("logplus", 0.1, None),
+                                            ("invlog", 1.1, None), ("iterlog", 1.15, 1),
+                                            ("iterlog", 1.5, 2), ("iterlog", 3.0, 2)])
+def test_dini_tail_differences_match_mpmath(kind, p, depth, b):
+    mu = catalog_make(kind, p=p, depth=depth)
+    a = _DINI_END
+    expected = mpmath.quad(lambda w: float(mu.eval_neglog(float(w))), np.geomspace(a, b, 13))
+    got = _dini_tail(mu, a) - _dini_tail(mu, b)
+    assert got == pytest.approx(float(expected), rel=1e-12, abs=0.0)
+
+
+# a table whose only steep piece lies below exp(-_DINI_END) ~ 5.7e-75, past every shell
+_DEEP_TABLE = "0 0\n1e-100 1e-30\n1e-2 1.5e-30\n1 2e-30\n"
+
+
+@pytest.mark.parametrize("table, knot", [(_DEEP_TABLE, 1e-100), ("0 0\n4e-75 4e-75\n1 0.5\n", 4e-75)])
+def test_dini_tail_of_a_table_sums_its_pieces(tmp_path, table, knot):
+    path = tmp_path / "deep.txt"
+    path.write_text(table)
+    mu = load_custom_modulus(path)
+    x = math.exp(-_DINI_END)
+    # mu(s)/s below x on panels a decade wide or less, scaled to order 1,
+    # as mpmath's quad stops on an absolute error
+    scale = mu.eval(x)
+    panels = [0.0, *np.geomspace(knot, x, 30)]
+    expected = scale * mpmath.quad(lambda s: mu.eval(float(s)) / scale / s, panels)
+    assert _dini_tail(mu, _DINI_END) == pytest.approx(float(expected), rel=1e-12, abs=0.0)
+    # a table with no knot below x is linear there: the tail is slope_1 x
+    assert _dini_tail(_kinked(tmp_path), _DINI_END) == pytest.approx(x, rel=1e-15, abs=0.0)
+
+
+def _fake_shells(monkeypatch):
+    """Shells w^-0.95 (log w)^-2: c1 = 0.95 is on the boundary band and
+    c2 = 2 makes the verdict convergent, whatever the modulus."""
     w0, ln2 = math.log(100.0), math.log(2.0)
     w = w0 + (np.arange(240) + 0.5) * ln2
     shells = w ** -0.95 * np.log(w) ** -2.0
     monkeypatch.setattr(modulus_module, "_dini_shells", lambda *args: (shells, w0))
-    result = classify_dini(catalog_make("invlog", p=2.0))
+    return shells
+
+
+def test_classifier_total_adds_the_exact_tail_to_the_shells(monkeypatch):
+    shells = _fake_shells(monkeypatch)
+    mu = catalog_make("invlog", p=2.0)
+    result = classify_dini(mu)
+    assert result.dini_verdict is Verdict.CONVERGENT
+    assert result.total_estimate == pytest.approx(np.sum(shells) + _dini_tail(mu, _DINI_END),
+                                                  rel=1e-15)
+
+
+def test_classifier_gives_no_total_for_a_diverging_model(monkeypatch):
+    # invlog p = 1 has an infinite tail past the last shell
+    _fake_shells(monkeypatch)
+    result = classify_dini(catalog_make("invlog", p=1.0))
     assert result.dini_verdict is Verdict.CONVERGENT
     assert result.total_estimate is None
 
@@ -483,8 +525,9 @@ def test_no_piece_is_refused_over_catalog_and_random_tables(tmp_path):
         path = tmp_path / f"table{i}.txt"
         np.savetxt(path, np.column_stack([s, mu]))
         moduli.append(load_custom_modulus(path))
-    for mu in moduli:
-        classify_dini(mu)
+    for mu in moduli + [_kinked(tmp_path)]:
+        # a table's Dini integral converges, as mu(s) <= slope_1 s
+        assert classify_dini(mu).dini_verdict is mu.analytic_dini_label
         for n in (1, 2):
             constant = weight_bound_constant(n, 16.0)
             for y_r0 in (1e-300, 1e-20, 0.02, 5.0):
