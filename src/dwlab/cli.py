@@ -200,13 +200,13 @@ def cmd_classify(args, cfg):
     print(f"slow variation   : {ratios}")
     print(f"convexity min    : {convexity_min:.6g}")
     print(f"integral verdict : {dini.dini_verdict.value}")
-    print(f"analytic label   : {dini.analytic_label.value if dini.analytic_label else 'n/a'}")
+    print(f"analytic label   : {dini.analytic_label.value}")
     if dini.total_estimate is not None:
         print(f"total estimate   : {dini.total_estimate:.6g}")
         print(f"tail share       : {1.0 - dini.dini_partial_sums.sum() / dini.total_estimate:.3g}")
     if dini.dini_verdict is Verdict.INCONCLUSIVE:
         return EXIT_INCONCLUSIVE
-    if dini.analytic_label and dini.dini_verdict is not dini.analytic_label:
+    if dini.dini_verdict is not dini.analytic_label:
         print("MISMATCH between quadrature verdict and analytic label",
               file=sys.stderr)
         return EXIT_MISMATCH

@@ -16,9 +16,13 @@ dK1 = K0 - K1.
 
 The flow runs on the grid's rfft half-spectrum (`dwlab.grid.half_spectrum`):
 `_flow_hat(K, u_hat, v_hat)` applies the multipliers K it is given to
-half-spectra.  The stepper's kernel and `propagate`, which wraps it in the
-transform pair, pass the last few (grid, dt) multipliers, kept in a cache;
-`linear_norm_series` builds its own for each gap between samples.
+half-spectra.  A grid's multipliers are built by `_grid_multipliers` alone,
+once per distinct |xi|^2 (28,317 of the 131,584 modes of a 512^2 grid; in
+1-d every value is distinct) and spread over the modes.  The stepper's
+kernel and `propagate`, which wraps it in the transform pair, pass the last
+few (grid, dt) multipliers, kept in a cache; `linear_norm_series` builds
+its own for each gap between samples and takes each sample's norms from
+one |u|.
 """
 
 from __future__ import annotations
@@ -57,9 +61,9 @@ def _phi_series(z):
 
 
 def multipliers(xi_sq, t):
-    """Return (K0, K1, dK0, dK1) for |xi|^2 array at time t >= 0."""
-    if t < 0:
-        raise ValueError(f"propagation time must be non-negative, got {t}")
+    """Return (K0, K1, dK0, dK1) for |xi|^2 array at time 0 <= t < inf."""
+    if not 0 <= t < math.inf:
+        raise ValueError(f"propagation time must be non-negative and finite, got {t}")
     xi_sq = np.asarray(xi_sq, dtype=float)
     sigma = 0.25 - xi_sq
     envelope = math.exp(-0.5 * t)
@@ -98,6 +102,18 @@ def multipliers(xi_sq, t):
     return K0, K1, -xi_sq * K1, dK1
 
 
+def _grid_multipliers(half, t):
+    """(K0, K1, dK0, dK1) at time t on the half-spectrum `half`.
+
+    `multipliers` runs once on the distinct values of |xi|^2 and its arrays
+    are spread over the modes by the grid's index.  Every branch is
+    elementwise and the series' stopping test sees the same set of values,
+    so the result is `multipliers(half.xi_sq, t)` bit for bit.
+    """
+    values, index = half._distinct_xi_sq
+    return tuple(np.take(K, index) for K in multipliers(values, t))
+
+
 @functools.lru_cache(maxsize=4)
 def _flow_multipliers(spec, dt):
     """Read-only (K0, K1, dK0, dK1) over dt on the grid's half-spectrum.
@@ -106,7 +122,7 @@ def _flow_multipliers(spec, dt):
     entries hold a split-step run's step and the odd step clipped to a
     sample time, plus a cross-check on a second grid.
     """
-    found = multipliers(half_spectrum(spec).xi_sq, dt)
+    found = _grid_multipliers(half_spectrum(spec), dt)
     for array in found:
         array.flags.writeable = False
     return found
@@ -121,8 +137,8 @@ def _flow_hat(K, u_hat, v_hat):
 
 def propagate(state, dt):
     """Evolve Cauchy data exactly by dt under the linear damped flow."""
-    if dt < 0:
-        raise ValueError("dt must be non-negative")
+    if not 0 <= dt < math.inf:
+        raise ValueError(f"dt must be non-negative and finite, got {dt}")
     if not (state.u.is_finite() and state.v.is_finite()):
         raise ValueError("cannot propagate a non-finite state")
     if dt == 0.0:
@@ -158,7 +174,7 @@ def linear_norm_series(state, times):
     samples = []
     for t_prev, t in zip([state.time, *times], times):
         # K stays bound until the next build, so its pages are not returned to the OS per sample
-        K = multipliers(half.xi_sq, t - t_prev)
+        K = _grid_multipliers(half, t - t_prev)
         u_hat, v_hat = _flow_hat(K, u_hat, v_hat)
         norms = _sample_norms(half, half.inverse(u_hat), u_hat)
         norms["energy"] = 0.5 * half.parseval(v_hat) + 0.5 * norms["H1dot"] ** 2

@@ -28,7 +28,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -90,7 +90,7 @@ class Modulus:
     kind: Kind
     params: dict
     continuation_point: float
-    analytic_dini_label: Verdict | None = None
+    analytic_dini_label: Verdict
     # tabulated data, custom kind only
     table_s: np.ndarray | None = field(default=None, repr=False)
     table_mu: np.ndarray | None = field(default=None, repr=False)
@@ -248,19 +248,20 @@ class Modulus:
 # -- catalog construction ---------------------------------------------
 
 
-def _iterlog_continuation_w(p, depth):
-    """Smallest safe w* = log(1/s*) for the iterated-log family.
+def _iterlog_continuation_w(probe):
+    """Smallest safe w* = log(1/s*) for the iterated-log modulus `probe`,
+    whose defining formula it reads through `_log_deriv`.
 
     The defining formula must only be used where every nested logarithm
     is positive and the product is concave in s.  Both are located by a
     direct scan in w = log(1/s); w stays below 350 so s = exp(-w) never
     leaves the normal double range.
     """
+    p, depth = probe.params["p"], probe.params["depth"]
     # innermost log >= 1/2 puts all shallower logs comfortably above 1
     w_lo = 0.5
     for _ in range(depth):
         w_lo = math.exp(w_lo)
-    probe = Modulus(Kind.ITERLOG, {"p": p, "depth": depth}, continuation_point=1.0)
     grid_w = np.geomspace(w_lo, 350.0, 4000)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite d2 counts as bad
         d2 = probe._log_deriv(np.exp(-grid_w), 2)
@@ -303,9 +304,9 @@ def catalog_make(kind, p=None, depth=None):
         modulus = Modulus(kind, {"p": p}, continuation_point=math.exp(-max(2.0, p + 1.0)),
                           analytic_dini_label=label)
     else:
-        modulus = Modulus(kind, {"p": p, "depth": depth},
-                          continuation_point=math.exp(-_iterlog_continuation_w(p, depth)),
-                          analytic_dini_label=label)
+        probe = Modulus(kind, {"p": p, "depth": depth}, continuation_point=1.0,
+                        analytic_dini_label=label)
+        modulus = replace(probe, continuation_point=math.exp(-_iterlog_continuation_w(probe)))
     # a subnormal mu(s*) has lost digits; at 0 the forcing and the slope vanish
     s_star, tiny = modulus.continuation_point, np.finfo(float).tiny
     mu_star = modulus._raw(s_star) if s_star >= tiny else 0.0
@@ -559,7 +560,7 @@ class DiniResult:
     sum plus the closed-form tail past the last shell (None if it diverges)."""
 
     dini_verdict: Verdict
-    analytic_label: Verdict | None
+    analytic_label: Verdict
     dini_partial_sums: np.ndarray = field(repr=False)
     total_estimate: float | None = None
 

@@ -35,7 +35,7 @@ import numpy as np
 from .grid import (GridError, GridField, WaveState, _sample_norms, half_spectrum, lp_norm,
                    sobolev_norm)
 # propagate is unused here, but perfbench/selftest.py checks that its tracer patches this binding
-from .linear import _flow_hat, _flow_multipliers, multipliers, propagate  # noqa: F401
+from .linear import _flow_hat, _flow_multipliers, _grid_multipliers, propagate  # noqa: F401
 
 __all__ = [
     "BLOWUP_THRESHOLD",
@@ -121,8 +121,8 @@ def step(state, h_u, dt, nonlinearity):
     per accepted step.  The step is `evolve`'s own kernel on the spectra
     of (u, u_t, h_u), and raises BlowupSignal as it does.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     spec = state.spec
     half = half_spectrum(spec)
     carried = tuple(half.forward(f) for f in (state.u.values, state.v.values, h_u))
@@ -275,7 +275,7 @@ def picard_verify(config, window_T=1.0, iterations=4):
         raise ValueError("cannot propagate a non-finite state")
     # one multiplier build per lag t_k - t_0 serves every pair (i, j) with i - j = k
     half = half_spectrum(spec)
-    lags = [multipliers(half.xi_sq, t - t_grid[0]) for t in t_grid]
+    lags = [_grid_multipliers(half, t - t_grid[0]) for t in t_grid]
     phi_hat, psi_hat = half.forward(data.u.values), half.forward(data.v.values)
     u_lin = [half.inverse(_flow_hat(K, phi_hat, psi_hat)[0]) for K in lags]
 

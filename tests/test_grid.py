@@ -12,7 +12,9 @@ from dwlab.grid import (
     GridError,
     GridField,
     GridSpec,
+    HalfSpectrum,
     WaveState,
+    _sample_norms,
     gn_check,
     half_spectrum,
     hdot_norm,
@@ -20,6 +22,7 @@ from dwlab.grid import (
     sobolev_norm,
     spectral_gradient,
 )
+from dwlab.semilinear import make_data
 
 
 def _gaussian_1d(length=20.0, points=512, width=1.0):
@@ -116,6 +119,56 @@ def test_lp_norm_overflow_of_finite_values_is_inf():
     with np.errstate(over="ignore"):
         assert lp_norm(f, 2) == math.inf
     assert lp_norm(f, np.inf) == 1e200
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_sample_norms_name_the_first_nonfinite_index(bad):
+    spec = GridSpec(2, 1.0, 16)
+    half = half_spectrum(spec)
+    u = np.ones(spec.shape)
+    u_hat = half.forward(u)
+    u[3, 5] = u[9, 2] = bad
+    with pytest.raises(GridError, match=r"non-finite value at index \(3, 5\)"):
+        _sample_norms(half, u, u_hat)
+
+
+@pytest.mark.parametrize("spec, distinct", [(GridSpec(1, 1050.0, 8192), 4097),
+                                            (GridSpec(2, 1050.0, 512), 28317),
+                                            (GridSpec(2, 16.0, 64), 520)],
+                         ids=["1d-8192", "2d-512", "2d-64"])
+def test_distinct_xi_sq_rebuilds_xi_sq(spec, distinct):
+    values, index = HalfSpectrum(spec)._distinct_xi_sq
+    xi_sq = half_spectrum(spec).xi_sq
+    assert values.size == distinct and np.all(np.diff(values) > 0)
+    assert index.shape == xi_sq.shape and index.dtype == np.int32
+    assert np.array_equal(values[index], xi_sq)
+    if spec.dimension == 1:  # every value is distinct and already sorted
+        assert np.array_equal(index, np.arange(xi_sq.size))
+    for array in (values, index):
+        with pytest.raises(ValueError, match="read-only"):
+            array.flat[0] = 0
+
+
+def test_distinct_xi_sq_is_found_on_first_use_only():
+    # neither the shared half-spectrum nor the data on its grid compute the pair
+    spec = GridSpec(2, 7.0, 32)  # a grid no other test uses
+    half = half_spectrum(spec)
+    make_data(spec, amplitude=1.0, width=2.0)
+    assert "_distinct_xi_sq" not in vars(half)
+    pair = half._distinct_xi_sq
+    assert half._distinct_xi_sq is pair
+
+
+@pytest.mark.parametrize("spec", [GridSpec(1, 5.0, 256), GridSpec(2, 5.0, 64)], ids=["1d", "2d"])
+def test_parseval_is_its_formula_bit_for_bit(spec):
+    half = half_spectrum(spec)
+    coeffs = half.forward(np.random.default_rng(11).standard_normal(spec.shape))
+    kept = coeffs.copy()
+    scale = spec.cell / spec.points ** spec.dimension
+    for weight in (1.0, half.xi_sq, (1.0 + half.xi_sq) ** 2):
+        want = float(np.sum(((coeffs.real ** 2 + coeffs.imag ** 2) * weight) @ half.weights)) * scale
+        assert half.parseval(coeffs, weight) == want
+    assert np.array_equal(coeffs, kept)  # the squares are formed in place of a copy
 
 
 @pytest.mark.parametrize("points", [16, 512, 4096])

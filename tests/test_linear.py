@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dwlab import linear
-from dwlab.grid import GridField, GridSpec, WaveState, lp_norm
+from dwlab.grid import GridField, GridSpec, WaveState, half_spectrum, lp_norm
 from dwlab.linear import (
     decay_fit,
     linear_norm_series,
@@ -123,6 +123,24 @@ def test_multiplier_rejects_negative_time():
         multipliers(np.array([1.0]), -0.1)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_multiplier_rejects_non_finite_time(t):
+    with pytest.raises(ValueError, match="propagation time must be non-negative and finite"):
+        multipliers(np.array([0.0, 0.25, 1.0]), t)
+
+
+# at t = 2.8, 11,201 modes of the 512^2 grid take the power-series branch
+@pytest.mark.parametrize("t", [1e-3, 2.8, 30.0, 126.0])
+@pytest.mark.parametrize("spec", [GridSpec(1, 1050.0, 8192), GridSpec(2, 1050.0, 512),
+                                  GridSpec(2, 16.0, 64)], ids=["1d-8192", "2d-512", "2d-64"])
+def test_grid_multipliers_are_the_full_build_bit_for_bit(spec, t):
+    half = half_spectrum(spec)
+    got = linear._grid_multipliers(half, t)
+    want = multipliers(half.xi_sq, t)
+    for a, b in zip(got, want, strict=True):
+        assert a.shape == b.shape and np.array_equal(a, b)
+
+
 # -- propagation ------------------------------------------------------
 
 
@@ -188,7 +206,7 @@ def test_propagate_cached_multipliers_are_read_only(monkeypatch):
     spec = GridSpec(1, 24.0, 256)
     state = _psi_state(spec)
     first = propagate(state, 0.0617)
-    for array in built[0]:
+    for array in linear._flow_multipliers(spec, 0.0617):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
     # the set that refused the writes is the one the next call reuses
@@ -208,6 +226,12 @@ def test_propagate_rejects_non_finite_state():
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(ValueError, match="produced a non-finite state"):
         propagate(WaveState(0.0, huge, huge), 0.1)
+
+
+@pytest.mark.parametrize("dt", [math.nan, math.inf])
+def test_propagate_rejects_non_finite_dt(dt):
+    with pytest.raises(ValueError, match="dt must be non-negative and finite"):
+        propagate(_psi_state(GridSpec(1, 16.0, 256)), dt)
 
 
 def test_propagate_identity_at_zero_dt():
@@ -281,6 +305,43 @@ def test_linear_norm_series_matches_propagate_loop(spec):
     assert np.array_equal(series["t"], times)
     for key, values in reference.items():
         assert np.max(np.abs(series[key] / np.asarray(values) - 1.0)) <= 1e-12, key
+
+
+def _series_by_full_builds(state, times):
+    """`linear_norm_series` written out: multipliers built on every mode, the
+    norms of u by `lp_norm` and the Parseval sums by their formula."""
+    half = half_spectrum(state.spec)
+    spec = state.spec
+    scale = spec.cell / spec.points ** spec.dimension
+
+    def parseval(c, weight=1.0):
+        return float(np.sum(((c.real ** 2 + c.imag ** 2) * weight) @ half.weights)) * scale
+
+    u_hat, v_hat = half.forward(state.u.values), half.forward(state.v.values)
+    out = {key: [] for key in ("L1", "L2", "Linf", "H1dot", "energy")}
+    for t_prev, t in zip([state.time, *times], times):
+        K0, K1, dK0, dK1 = multipliers(half.xi_sq, t - t_prev)
+        u_hat, v_hat = K0 * u_hat + K1 * v_hat, dK0 * u_hat + dK1 * v_hat
+        u = GridField(spec, half.inverse(u_hat))
+        for key, p in (("L1", 1), ("L2", 2), ("Linf", np.inf)):
+            out[key].append(lp_norm(u, p))
+        out["H1dot"].append(math.sqrt(parseval(u_hat, half.xi_sq)))
+        out["energy"].append(0.5 * parseval(v_hat) + 0.5 * out["H1dot"][-1] ** 2)
+    return out
+
+
+def test_linear_norm_series_is_the_full_build_loop_bit_for_bit():
+    # |xi| = 1/2 lies on this grid's spectrum, so early gaps take the series branch
+    spec = GridSpec(2, 40.0, 128)
+    rng = np.random.default_rng(5)
+    state = WaveState(0.0, GridField(spec, rng.standard_normal(spec.shape)),
+                      GridField(spec, rng.standard_normal(spec.shape)))
+    times = np.array([0.5, 1.0, 2.8, 5.0, 30.0, 126.0])
+    series = linear_norm_series(state, times)
+    reference = _series_by_full_builds(state, times)
+    assert series.keys() == {"t", *reference}
+    for key, values in reference.items():
+        assert np.array_equal(series[key], np.array(values)), key
 
 
 def test_linear_norm_series_rejects_non_finite():

@@ -102,6 +102,14 @@ def test_eval_iterlog_against_mpmath():
     assert mu(s) == pytest.approx(expected, rel=1e-13)
 
 
+def test_every_modulus_carries_an_analytic_label(tmp_path):
+    with pytest.raises(TypeError, match="analytic_dini_label"):
+        Modulus(Kind.POWER, {"p": 1.0}, continuation_point=math.inf)
+    for mu in _entries() + [_kinked(tmp_path)]:
+        assert classify_dini(mu).analytic_label is mu.analytic_dini_label
+        assert isinstance(mu.analytic_dini_label, Verdict)
+
+
 def test_eval_at_zero_is_zero():
     for mu in _entries():
         assert mu(0.0) == 0.0

@@ -102,6 +102,15 @@ def test_step_is_kick_propagate_kick(spec):
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("dt", [0.0, -0.1, math.nan, math.inf])
+def test_step_rejects_a_bad_dt_as_an_argument_error(dt):
+    # a NaN dt is not a blow-up, and an infinite one is refused before any arithmetic
+    spec = _spec()
+    data = make_data(spec, amplitude=0.5, width=2.0)
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        step(data, np.zeros(spec.shape), dt, ZeroForcing())
+
+
 def test_infinite_forcing_signals_blowup_at_attempt_start():
     spec = _spec()
     data = make_data(spec, amplitude=0.5, width=2.0)
