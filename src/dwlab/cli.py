@@ -1,8 +1,8 @@
 """Command-line front end: run orchestration and one record writer.
 
 Every run writes its outputs through `_write_record` into a directory made
-by `_run_dir`: ``manifest.txt`` always, and ``norms.csv`` with a
-``norms_plot.py`` for the runs that sample a norm series.
+by `_run_dir`: ``manifest.txt`` always, and ``norms.csv`` for the runs
+that sample a norm series.
 
 Subcommands
 -----------
@@ -126,29 +126,11 @@ def _write_csv(directory, name, columns):
     (directory / name).write_text("\n".join(lines) + "\n")
 
 
-_PLOT_TEMPLATE = """\
-#!/usr/bin/env python3
-\"\"\"Log-log decay plot for norms.csv (generated alongside the data).\"\"\"
-import csv
-import matplotlib.pyplot as plt
-
-with open('norms.csv') as fh:
-    rows = list(csv.DictReader(fh))
-t = [1.0 + float(r["t"]) for r in rows]
-for column in {columns!r}:
-    plt.loglog(t, [float(r[column]) for r in rows], label=column)
-plt.xlabel("1 + t")
-plt.legend()
-plt.savefig('norms.png', dpi=150)
-"""
-
-
-def _write_record(directory, entries, series=None, plotted=()):
+def _write_record(directory, entries, series=None):
     """The one record writer: manifest.txt of the (key, value) entries and,
-    given a norm series, norms.csv with a norms_plot.py of the plotted columns."""
+    given a norm series, norms.csv of its columns."""
     if series is not None:
         _write_csv(directory, "norms.csv", series)
-        (directory / "norms_plot.py").write_text(_PLOT_TEMPLATE.format(columns=list(plotted)))
     lines = [f"{key} = {value}" for key, value in entries]
     (directory / "manifest.txt").write_text("\n".join(lines) + "\n")
 
@@ -236,15 +218,17 @@ def cmd_linear(args, cfg):
             fit = decay_fit(series, norm, _fit_window(t_max))
             expected = rate(n)
             ok = abs(fit.exponent - expected) <= 0.1
-            entries.append((f"slope_{norm}", f"{fit.exponent:.6f}"))
-            entries.append((f"expected_{norm}", f"{expected:.6f}"))
+            entries += [(f"slope_{norm}", f"{fit.exponent:.6f}"),
+                        (f"residual_{norm}", f"{fit.residual:.6g}"),
+                        (f"n_points_{norm}", fit.n_points),
+                        (f"expected_{norm}", f"{expected:.6f}")]
             print(f"{norm:6s} slope {fit.exponent:+.4f}  expected {expected:+.2f}  "
                   f"{'ok' if ok else 'MISMATCH'}")
             if not ok:
                 status = EXIT_MISMATCH
     entries.append(("wall_time_s", f"{time.perf_counter() - t_start:.3f}"))
     out = _run_dir(args, "linear", cfg)
-    _write_record(out, entries, series, plotted=("Linf", "L2", "H1dot"))
+    _write_record(out, entries, series)
     print(f"output in {out}")
     return status
 
@@ -266,7 +250,9 @@ def _single_run(cfg):
     series = {"t": traj.times, **traj.norms}
     if traj.outcome == Outcome.COMPLETED:
         try:  # decay_fit refuses a run too short to span a decade of 1 + t
-            result["linf_slope"] = decay_fit(series, "Linf", _fit_window(traj.times[-1])).exponent
+            fit = decay_fit(series, "Linf", _fit_window(traj.times[-1]))
+            result.update(linf_slope=fit.exponent, linf_residual=fit.residual,
+                          linf_n_points=fit.n_points)
         except ValueError:
             pass
     return result, series
@@ -277,7 +263,7 @@ def cmd_run(args, cfg):
     for key in ("outcome", "t_est", "xnorm"):
         print(f"{key:8s}: {result[key]}")
     out = _run_dir(args, "run", cfg)
-    _write_record(out, sorted(result.items()), series, plotted=("Linf", "L2"))
+    _write_record(out, sorted(result.items()), series)
     print(f"output in {out}")
     return EXIT_OK
 

@@ -71,7 +71,8 @@ def multipliers(xi_sq, t):
     K0 = np.empty_like(sigma)
     K1 = np.empty_like(sigma)
     dK1 = np.empty_like(sigma)
-    z = sigma * t * t
+    with np.errstate(over="ignore"):  # an overflowed |z| = inf is simply not near
+        z = sigma * t * t
     near = np.abs(z) < 0.25
     low = (sigma > 0) & ~near
     high = (sigma < 0) & ~near

@@ -575,7 +575,9 @@ def classify_dini(modulus):
     lexicographically.  Boundary fits are classified divergent, matching
     the closed catalog; an Inconclusive verdict covers fit failures and
     moduli whose continuation point lies past the deepest shell.  The
-    total is the shell sum plus mu's closed-form tail past the last shell.
+    total is the shell sum plus mu's closed-form tail past the last shell;
+    a table's tail is its exact integral, so a table is Convergent with
+    that total whatever its shells look like.
     """
     S, w0 = _dini_shells(modulus)
     shells = len(S)
@@ -591,6 +593,10 @@ def classify_dini(modulus):
     ln2 = math.log(2.0)
     tail = _dini_tail(modulus, w0 + shells * ln2)
     total = float(np.sum(S)) + tail if tail < math.inf else None
+    if modulus.kind is Kind.CUSTOM:
+        # a table is piecewise linear from (0, 0), so its tail is exact and
+        # finite: no shell model is needed, even for a piece past the shells
+        return result(Verdict.CONVERGENT, total)
     # underflow plateau: mu already negligible, series trivially summable
     if not S[-1] > 1e-280:
         return result(Verdict.CONVERGENT, total)

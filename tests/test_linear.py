@@ -1,6 +1,7 @@
 """Tests for the exact linear propagator and the decay-rate fits."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -109,6 +110,19 @@ def test_multiplier_long_horizon_finite_and_exact():
     assert K0[0] == 1.0
     assert K1[0] == 1.0 - math.exp(-t)
     assert dK1[0] == math.exp(-t)
+
+
+@pytest.mark.parametrize("t", [1e155, 1e300])
+def test_multiplier_finite_horizon_past_overflow_of_sigma_t_sq(t):
+    # (1/4 - xi^2) t^2 overflows past t ~ 1e154; the overflowed value is not near
+    # the double root, so every mode but xi = 0 has decayed to zero
+    xi_sq = np.array([0.0, 0.1, 0.25, 0.3, 4.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        K0, K1, dK0, dK1 = multipliers(xi_sq, t)
+    expected = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
+    assert np.array_equal(K0, expected) and np.array_equal(K1, expected)
+    assert np.array_equal(dK0, np.zeros(5)) and np.array_equal(dK1, np.zeros(5))
 
 
 def test_multiplier_zero_mode_derivative_without_cancellation():
