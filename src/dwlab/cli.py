@@ -245,6 +245,9 @@ def _single_run(cfg):
         "outcome": traj.outcome,
         "t_est": traj.t_est,
         "xnorm": traj.xnorm,
+        "steps_accepted": traj.steps_accepted,
+        "steps_rejected": traj.steps_rejected,
+        "dt_min": traj.dt_min,
         "wall_time_s": time.perf_counter() - t_start,
     }
     series = {"t": traj.times, **traj.norms}

@@ -184,6 +184,23 @@ class HalfSpectrum:
             return np.fft.irfft(coeffs, self.spec.points)
         return np.fft.irfftn(coeffs, s=self.spec.shape, axes=(0, 1))
 
+    def sup_bound(self, coeffs):
+        """An upper bound on max|inverse(coeffs)| from the coefficients alone.
+
+        A grid value is (1/N^n) times the sum over the full spectrum of
+        c_k e^{ik.x}, in which each column but the DC and Nyquist ones
+        stands for itself and its conjugate partner; the inverse drops the
+        imaginary parts of those two columns, which only lowers |value|.  So
+        the column-weighted l1 sum over N^n bounds every value, with
+        equality when the phases line up at one grid point.  The factor
+        1 + 1e-10 covers the rounding of this sum and of the transform
+        (relative O(N eps) and O(eps log N)).  NaN or inf if a coefficient
+        is not finite.
+        """
+        spec = self.spec
+        total = float(np.sum(np.abs(coeffs) @ self.weights))
+        return total / spec.points ** spec.dimension * (1.0 + 1e-10)
+
     def parseval(self, coeffs, weight=1.0):
         """Full-spectrum sum of |coeffs|^2 * weight, scaled so that weight 1
         gives the squared L2 norm (cell weights dx^n) of the field."""

@@ -117,13 +117,15 @@ def _grid_multipliers(half, t):
 
 @functools.lru_cache(maxsize=4)
 def _flow_multipliers(spec, dt):
-    """Read-only (K0, K1, dK0, dK1) over dt on the grid's half-spectrum.
+    """Read-only (K0, K1, dK0, dK1) over dt on the grid's half-spectrum, as
+    complex128: a real multiplier meets complex spectra, which numpy would
+    otherwise cast it to on every multiply, so the products are the same bits.
 
     Everything cached is a function of the grid and dt alone.  Four
     entries hold a split-step run's step and the odd step clipped to a
     sample time, plus a cross-check on a second grid.
     """
-    found = _grid_multipliers(half_spectrum(spec), dt)
+    found = tuple(K.astype(complex) for K in _grid_multipliers(half_spectrum(spec), dt))
     for array in found:
         array.flags.writeable = False
     return found

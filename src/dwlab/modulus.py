@@ -70,6 +70,23 @@ class ModulusError(ValueError):
     """Raised for invalid modulus parameters or evaluations."""
 
 
+def _power(a, e):
+    """a ** e, with the exponents 1, 2, 3 and 4 taken as repeated products.
+
+    A product costs a fraction of numpy's `pow` loop (5-8 against 12-22 us
+    on 4,096 values).  Exponents 1 and 2 give the bits of numpy's own fast
+    paths; 3 and 4 stay within 2 ulp of `**`, and scalars and arrays give
+    the same bits.  Exponent 1 returns `a` itself.  Other exponents go
+    through `**`.
+    """
+    if e not in (1.0, 2.0, 3.0, 4.0):
+        return a ** e
+    out = a
+    for _ in range(int(e) - 1):
+        out = out * a
+    return out
+
+
 def _nested_logs(w, depth):
     """Return [L_1, ..., L_depth] with L_1 = w and L_{j+1} = log L_j."""
     logs = [np.asarray(w, dtype=float)]
@@ -130,9 +147,12 @@ class Modulus:
 
     def _log_formula(self, w):
         """mu(exp(-w)) = L_1^{-1} ... L_d^{-1} L_{d+1}^{-p} for the log
-        families, with L_1 = w and L_{j+1} = log L_j; invlog is depth 0."""
+        families, with L_1 = w and L_{j+1} = log L_j; invlog is depth 0.
+        L^{-p} is 1/L^p for p = 1 (numpy's own fast path) and p = 2 (within
+        2 ulp of `**`); 1/L^3 and 1/L^4 can stray 3 ulp, so other p keep `**`."""
         logs = _nested_logs(w, self.params.get("depth", 0) + 1)
-        out = logs[-1] ** (-self.params["p"])
+        p = self.params["p"]
+        out = 1.0 / _power(logs[-1], p) if p in (1.0, 2.0) else logs[-1] ** -p
         for lj in logs[:-1]:
             out = out / lj
         return out
@@ -406,7 +426,7 @@ class Nonlinearity:
     def h_eval(self, s):
         # |s| is never negative, so mu's kernel runs without eval's checks
         a = np.abs(np.asarray(s, dtype=float))
-        return a ** self.exponent * self.modulus._eval_nonneg(a)
+        return _power(a, self.exponent) * self.modulus._eval_nonneg(a)
 
 
 class PowerForcing:
@@ -422,7 +442,7 @@ class PowerForcing:
         self.exponent = float(q)
 
     def h_eval(self, s):
-        return np.abs(np.asarray(s, dtype=float)) ** self.exponent
+        return _power(np.abs(np.asarray(s, dtype=float)), self.exponent)
 
 
 # -- condition checkers -----------------------------------------------

@@ -10,15 +10,23 @@ which is second order and inherits the linear decay structure exactly
 (h = 0 reduces to the exact flow).  `evolve` carries the real-FFT
 half-spectra (u_hat, v_hat, h_hat) of u, u_t and h(u) from one accepted step
 to the next and kicks and drifts them in place of the fields, so an attempt
-costs three real transforms (`rfft`/`irfft` on a 1-d grid, `rfftn`/`irfftn`
+costs two real transforms (`rfft`/`irfft` on a 1-d grid, `rfftn`/`irfftn`
 on a 2-d one, through `dwlab.grid.HalfSpectrum`): u_hat back, for h(u) and
-the growth check; h(u) forward, for the closing kick and the next opening
-one; and v_hat back, for the growth check.  A sample takes its norms from
-u and the carried u_hat, with no transform.  `step` is the public one-step
-wrapper on a `WaveState`: it forward-transforms u, u_t and h(u) and runs
-`evolve`'s kernel once, six transforms a step.  The kernel drifts through
+max|u|, and h(u) forward, for the closing kick and the next opening one.
+The growth check needs max|u_t| only to decide whether max|u| + max|u_t|
+more than doubled, and `HalfSpectrum.sup_bound` bounds it from v_hat: a
+grid value is a sum of the coefficients times unit phases.  When max|u|
+plus that bound stays within twice a lower bound on the old size the step
+is accepted at once; only otherwise does v_hat go back to the grid (and
+the old v_hat, if its size was not measured) for the exact sizes.  The
+cheap accept implies the exact one, so every decision is the one the exact
+sizes give.  A sample takes its norms from u and the carried u_hat, with no
+transform.  `step` is the public one-step wrapper on a `WaveState`: it
+forward-transforms u, u_t and h(u), runs `evolve`'s kernel once and takes
+u_t back itself, six transforms a step.  The kernel drifts through
 `dwlab.linear._flow_hat` with the cached multipliers of its (grid, dt), and
-it alone raises `BlowupSignal` for non-finite values.  Blow-up is detected
+it raises `BlowupSignal` for a non-finite h(u) or u; a non-finite u_t is
+found where u_t is taken back.  Blow-up is detected
 operationally: |u| above `BLOWUP_THRESHOLD`, non-finite values, or the step
 halving below `DT_MIN`.  True nonexistence is asymptotic and the detected
 time is an upper proxy for the lifespan, not a sharp estimate.
@@ -102,6 +110,12 @@ class Trajectory:
     outcome: str
     t_est: float
     u_samples: list = field(default_factory=list)
+    # step statistics: accepted steps, attempts the growth rule rejected, and
+    # the smallest step the rule set (clipping to sample times and the horizon
+    # aside); a trajectory not made by `evolve` took no step
+    steps_accepted: int = 0
+    steps_rejected: int = 0
+    dt_min: float = math.inf
 
     @property
     def xnorm_running(self):
@@ -119,26 +133,39 @@ def step(state, h_u, dt, nonlinearity):
     Returns (new_state, h(new u)).  The caller passes the second back as
     the next step's `h_u` (first same as last), so a run evaluates h once
     per accepted step.  The step is `evolve`'s own kernel on the spectra
-    of (u, u_t, h_u), and raises BlowupSignal as it does.
+    of (u, u_t, h_u), and raises BlowupSignal as it does; it takes u_t back
+    itself and raises BlowupSignal too if u_t is not finite.
     """
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
     spec = state.spec
     half = half_spectrum(spec)
     carried = tuple(half.forward(f) for f in (state.u.values, state.v.values, h_u))
-    (u, v, h_new), _, _ = _carried_step(half, carried, state.time, dt, nonlinearity)
+    (u, h_new), (_, v_hat, _), _ = _carried_step(half, carried, state.time, dt, nonlinearity)
+    v = half.inverse(v_hat)
+    _finite_sup(v, state.time)
     return WaveState(state.time + dt, GridField(spec, u), GridField(spec, v)), h_new
+
+
+def _finite_sup(values, time):
+    """max|values|, or BlowupSignal(time) if it is not finite: a max is NaN
+    or inf exactly when its field holds a non-finite value."""
+    sup = float(np.max(np.abs(values)))
+    if not math.isfinite(sup):
+        raise BlowupSignal(time)
+    return sup
 
 
 def _carried_step(half, carried, time, dt, nonlinearity):
     """One Strang step from `time` of the half-spectra `carried` =
     (u_hat, v_hat, h_hat) of (u, u_t, h(u)) on the grid of `half`.
 
-    Returns the new arrays (u, u_t, h(u)), the new state's carried triple
-    and (max|u|, max|u_t|).  The triple passed in is left as it was, so a
-    rejected attempt retries from it.  Raises BlowupSignal(time) if h(u)
-    is not finite, before its transform spreads the bad value over every
-    mode, or if u or u_t is not.
+    Returns the new arrays (u, h(u)), the new state's carried triple and
+    max|u|; u_t stays a spectrum, which the caller takes back only if it
+    needs it.  The triple passed in is left as it was, so a rejected
+    attempt retries from it.  Raises BlowupSignal(time) if h(u) is not
+    finite, before its transform spreads the bad value over every mode,
+    or if u is not.
     """
     u_hat, v_hat, h_hat = carried
     u_hat, v_hat = _flow_hat(_flow_multipliers(half.spec, dt), u_hat, v_hat + 0.5 * dt * h_hat)
@@ -148,12 +175,7 @@ def _carried_step(half, carried, time, dt, nonlinearity):
         raise BlowupSignal(time)
     h_hat = half.forward(h_u)
     v_hat += 0.5 * dt * h_hat
-    v = half.inverse(v_hat)
-    # a max is NaN or inf exactly when its field holds a non-finite value
-    sup_u, sup_v = float(np.max(np.abs(u))), float(np.max(np.abs(v)))
-    if not (math.isfinite(sup_u) and math.isfinite(sup_v)):
-        raise BlowupSignal(time)
-    return (u, v, h_u), (u_hat, v_hat, h_hat), (sup_u, sup_v)
+    return (u, h_u), (u_hat, v_hat, h_hat), _finite_sup(u, time)
 
 
 def xnorm_weight(t, dimension, norms):
@@ -174,7 +196,9 @@ def evolve(config):
 
     The step halves whenever the sup norm more than doubles across one
     step (growth control near blow-up); a step below DT_MIN is reported
-    as StepCollapse with the last reliable time.
+    as StepCollapse with the last reliable time.  The sup norm here is
+    size = max|u| + max|u_t|; max|u_t| is bounded from its spectrum and
+    measured only when the bound cannot decide (see the module docstring).
     """
     half = half_spectrum(config.grid)
     time, u, v = config.data.time, config.data.u.values, config.data.v.values
@@ -182,9 +206,11 @@ def evolve(config):
     if not np.isfinite(h_u).all():
         raise ValueError("the forcing h(u) of the initial data is not finite")
     carried = (half.forward(u), half.forward(v), half.forward(h_u))
-    # max|u| + max|v| of the state stepped from, measured once per accepted step
-    size = float(np.max(np.abs(u)) + np.max(np.abs(v)))
+    # the carried state's max|u|, and its max|u| + max|v| when it was measured (else None)
+    sup_u = float(np.max(np.abs(u)))
+    size = sup_u + float(np.max(np.abs(v)))
     dt = config.dt
+    accepted = rejected = 0
     times = [time]
     samples = [_sample_norms(half, u, carried[0])]
     u_samples = [u.copy()] if config.keep_fields else []
@@ -195,19 +221,31 @@ def evolve(config):
     while time < config.t_max - 1e-12:
         dt_step = min(dt, config.t_max - time, next_sample - time)
         try:
-            (u, _, _), candidate, (sup_after, sup_v) = _carried_step(
+            (u, _), candidate, sup_after = _carried_step(
                 half, carried, time, dt_step, config.nonlinearity)
+            # accept at once if max|u| plus the bound on max|u_t| stays within
+            # twice a lower bound on the old size, less a margin for rounding;
+            # a bound under 1e300 also proves u_t finite
+            size_lo = sup_u if size is None else size
+            bound = half.sup_bound(candidate[1])
+            if bound < 1e300 and sup_after + bound <= 2.0 * max(size_lo, 1e-14) * (1.0 - 1e-12):
+                size_after = None
+            else:
+                if size is None:
+                    size = sup_u + _finite_sup(half.inverse(carried[1]), time)
+                size_after = sup_after + _finite_sup(half.inverse(candidate[1]), time)
         except BlowupSignal:
             outcome, t_est = Outcome.BLEW_UP, time
             break
-        size_after = sup_after + sup_v
-        if size_after > 2.0 * max(size, 1e-14) and dt_step > DT_MIN:
-            dt = 0.5 * dt_step
-            if dt < DT_MIN:
+        if size_after is not None and size_after > 2.0 * max(size, 1e-14) and dt_step > DT_MIN:
+            rejected += 1
+            if 0.5 * dt_step < DT_MIN:
                 outcome, t_est = Outcome.STEP_COLLAPSE, time
                 break
+            dt = 0.5 * dt_step
             continue
-        carried, size, time = candidate, size_after, time + dt_step
+        accepted += 1
+        carried, sup_u, size, time = candidate, sup_after, size_after, time + dt_step
         if sup_after > BLOWUP_THRESHOLD:
             outcome, t_est = Outcome.BLEW_UP, time
             break
@@ -226,6 +264,9 @@ def evolve(config):
         outcome=outcome,
         t_est=t_est,
         u_samples=u_samples,
+        steps_accepted=accepted,
+        steps_rejected=rejected,
+        dt_min=dt,
     )
 
 

@@ -624,12 +624,15 @@ def test_run_record_layout_and_linf_slope(tmp_path, capsys):
     capsys.readouterr()
     assert _files(out) == _SERIES_FILES
     entries = _manifest(out)
-    assert list(entries) == ["amplitude", "config_hash", "linf_n_points", "linf_residual",
-                             "linf_slope", "modulus", "outcome", "t_est", "wall_time_s",
+    assert list(entries) == ["amplitude", "config_hash", "dt_min", "linf_n_points",
+                             "linf_residual", "linf_slope", "modulus", "outcome",
+                             "steps_accepted", "steps_rejected", "t_est", "wall_time_s",
                              "xnorm"]
     assert entries["outcome"] == "CompletedHorizon"
     assert abs(float(entries["linf_slope"]) + 0.5) < 0.05
     assert int(entries["linf_n_points"]) >= 20 and 0.0 <= float(entries["linf_residual"]) < 0.1
+    # 40 / 0.05 steps, none halved
+    assert (entries["steps_accepted"], entries["steps_rejected"], entries["dt_min"]) == ("800", "0", "0.05")
 
 
 @pytest.mark.parametrize("overrides, keys", [
@@ -665,6 +668,13 @@ def test_sweep_record_layout(tmp_path, capsys):
     # the two failed jobs leave no lifespans row
     rows = (sweep_dir / "lifespans.csv").read_text().splitlines()
     assert rows == ["amplitude,t_est", "0.2,-1.0", "0.5,-1.0"]
+    # a job that ran records its step statistics, as its own `dwlab run` would
+    entries = [dict(line.split(" = ", 1) for line in (job / "manifest.txt").read_text().splitlines())
+               for job in jobs]
+    ran = [e for e in entries if e["outcome"] != "Failed"]
+    assert len(ran) == 2
+    assert all((e["steps_accepted"], e["steps_rejected"], e["dt_min"]) == ("100", "0", "0.05")
+               for e in ran)
 
 
 # -- artifacts --------------------------------------------------------

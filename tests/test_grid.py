@@ -171,6 +171,49 @@ def test_parseval_is_its_formula_bit_for_bit(spec):
     assert np.array_equal(coeffs, kept)  # the squares are formed in place of a copy
 
 
+@pytest.mark.parametrize("spec", [GridSpec(1, 5.0, 16), GridSpec(1, 5.0, 4096),
+                                  GridSpec(2, 5.0, 16), GridSpec(2, 5.0, 64)],
+                         ids=["1d-16", "1d-4096", "2d-16", "2d-64"])
+def test_sup_bound_bounds_the_inverse(spec):
+    # complex noise in every coefficient, so the DC and Nyquist columns carry
+    # imaginary parts the inverse drops and 2-d columns 0 and N/2 are not
+    # conjugate-symmetric; and smooth spectra scaled over the double range
+    half = half_spectrum(spec)
+    rng = np.random.default_rng(spec.points + spec.dimension)
+    shape = half.xi_sq.shape
+    for trial in range(20):
+        coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        if trial % 2:
+            coeffs *= np.exp(-half.xi_sq) * 10.0 ** rng.uniform(-250.0, 250.0)
+        assert np.max(np.abs(half.inverse(coeffs))) <= half.sup_bound(coeffs)
+
+
+@pytest.mark.parametrize("spec", [GridSpec(1, 5.0, 512), GridSpec(2, 5.0, 64)], ids=["1d", "2d"])
+def test_sup_bound_is_reached_when_the_phases_line_up(spec):
+    # the moduli of a real field's spectrum with phases e^{-ik.x0}: every term
+    # of the inverse at x0 is |c_k|, so the maximum there is the l1 sum itself
+    half = half_spectrum(spec)
+    rng = np.random.default_rng(7)
+    moduli = np.abs(half.forward(rng.standard_normal(spec.shape)))
+    x0 = tuple(rng.integers(spec.points, size=spec.dimension))
+    index = np.indices(moduli.shape)
+    phase = np.exp(-2j * np.pi * sum(m * j for m, j in zip(index, x0)) / spec.points)
+    values = half.inverse(moduli * phase)
+    assert np.argmax(np.abs(values)) == np.ravel_multi_index(x0, spec.shape)
+    bound = half.sup_bound(moduli * phase)
+    assert np.max(np.abs(values)) <= bound
+    # the bound is the sum enlarged by its 1e-10 rounding margin, and no more
+    assert np.max(np.abs(values)) == pytest.approx(bound / (1.0 + 1e-10), rel=1e-13)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_sup_bound_of_a_non_finite_coefficient_is_not_finite(bad):
+    half = half_spectrum(GridSpec(1, 5.0, 64))
+    coeffs = half.forward(np.ones(64))
+    coeffs[3] = bad
+    assert not half.sup_bound(coeffs) < 1e300
+
+
 @pytest.mark.parametrize("points", [16, 512, 4096])
 def test_half_spectrum_1d_pair_matches_rfftn(points):
     # a 1-d grid calls rfft/irfft directly; their output is rfftn's bit for bit

@@ -142,22 +142,74 @@ def _h_eval_points(s_star):
 
 def test_h_eval_is_the_power_times_eval(tmp_path):
     # h_eval runs mu's kernel without eval's checks; every output bit is the
-    # one the public expression |s|^e mu(|s|) gives, on arrays and scalars
+    # one the public expression |s|^e mu(|s|) gives, with |s|^e taken as the
+    # product a*a*a (n = 1) or a*a (n = 2), and a scalar gets the bits of
+    # the same point in an array
     moduli = _entries() + [catalog_make("iterlog", p=1.0, depth=depth) for depth in (2, 3)]
     for mu in moduli + [_kinked(tmp_path)]:
         for n in (1, 2):
             h = Nonlinearity(mu, n)
             s = _h_eval_points(mu.continuation_point)
-            expected = np.abs(s) ** h.exponent * mu.eval(np.abs(s))
+            a = np.abs(s)
+            expected = (a * a * a if n == 1 else a * a) * mu.eval(a)
             assert np.array_equal(h.h_eval(s), expected, equal_nan=True)
             assert np.array_equal(h.h_eval(s.reshape(1, -1)), expected[None, :], equal_nan=True)
-            for point in s:
-                # numpy's scalar power may round apart from its array loop by
-                # an ulp, so a scalar is held to the scalar expression
-                a = abs(np.float64(point))
+            for point, want in zip(s, expected):
                 out = h.h_eval(float(point))
                 assert type(out) is np.float64
-                assert np.array_equal(out, a ** h.exponent * mu.eval(a), equal_nan=True)
+                assert np.array_equal(out, want, equal_nan=True)
+
+
+def _power_points():
+    """Magnitudes whose fourth powers stay finite, both signs, subnormals, 0 and inf."""
+    rng = np.random.default_rng(11)
+    wide = rng.choice([-1.0, 1.0], 20_000) * 10.0 ** rng.uniform(-120.0, 70.0, 20_000)
+    return np.concatenate([wide, rng.uniform(0.5, 2.0, 20_000),
+                           [0.0, -0.0, 5e-324, -1e-310, 1e-100, 1e70, np.inf, -np.inf]])
+
+
+@pytest.mark.parametrize("e", [1.0, 2.0, 3.0, 4.0])
+def test_integer_power_is_a_product_within_two_ulp_of_pow(e):
+    s = _power_points()
+    want = np.abs(s) ** e
+    got = modulus_module._power(np.abs(s), e)
+    assert np.array_equal(np.isinf(got), np.isinf(want))
+    finite = np.isfinite(want)
+    # 2 spacings of the pow result, and 1e-323 where a subnormal result has no spare bits
+    slack = 2.0 * np.spacing(want[finite]) + 1e-323
+    assert np.all(np.abs(got[finite] - want[finite]) <= slack)
+    if e <= 2.0:  # numpy's own fast paths for ** 1 and ** 2 give the same bits
+        assert np.array_equal(got, want)
+    if e > 1.0:
+        assert np.array_equal(PowerForcing(e).h_eval(s), got)
+
+
+def test_log_formula_takes_p_1_and_2_as_reciprocal_products():
+    w = np.concatenate([np.geomspace(1.0, 1e150, 5_000), np.random.default_rng(3).uniform(1.0, 50.0, 5_000)])
+    one = catalog_make("invlog", p=1.0)._log_formula(w)
+    assert np.array_equal(one, w ** -1.0)
+    two = catalog_make("invlog", p=2.0)._log_formula(w)
+    want = w ** -2.0
+    assert np.all(np.abs(two - want) <= 2.0 * np.spacing(want) + 1e-323)
+    assert np.array_equal(two, 1.0 / (w * w))
+
+
+def test_integer_power_scalars_match_arrays():
+    s = _power_points()
+    for forcing in (PowerForcing(3.0), PowerForcing(4.0), Nonlinearity(catalog_make("invlog", p=2.0), 1),
+                    Nonlinearity(catalog_make("invlog", p=2.0), 2)):
+        array = forcing.h_eval(s[::97])
+        for point, want in zip(s[::97], array):
+            assert np.array_equal(forcing.h_eval(float(point)), want, equal_nan=True)
+
+
+def test_non_integer_exponents_keep_pow():
+    s = _power_points()
+    for q in (1.5, 2.5, 3.5):
+        assert np.array_equal(PowerForcing(q).h_eval(s), np.abs(s) ** q)
+    w = np.geomspace(1.0, 1e150, 5_000)
+    for p in (0.5, 1.5, 3.0, 4.0):  # 1/w^3 and 1/w^4 can stray 3 ulp, so they keep pow
+        assert np.array_equal(catalog_make("invlog", p=p)._log_formula(w), w ** -p)
 
 
 def test_h_eval_builds_the_continuation_once(monkeypatch):

@@ -7,7 +7,8 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from dwlab import semilinear
-from dwlab.grid import GridError, GridField, GridSpec, WaveState, half_spectrum, hdot_norm, lp_norm
+from dwlab.grid import (GridError, GridField, GridSpec, HalfSpectrum, WaveState, _sample_norms,
+                        half_spectrum, hdot_norm, lp_norm)
 from dwlab.linear import propagate
 from dwlab.modulus import Nonlinearity, PowerForcing, catalog_make
 from dwlab.semilinear import (
@@ -189,28 +190,150 @@ def test_evolve_reports_an_infinite_forcing_at_its_attempt(point, call):
     assert traj.t_est == (call - 2) * dt
 
 
-def test_evolve_takes_three_transforms_per_step(monkeypatch):
+def _count_transforms(monkeypatch):
+    """Patch numpy.fft to count forward and inverse real transforms; a 1-d grid
+    calls rfft/irfft and a 2-d one rfftn/irfftn."""
+    counts = {"forward": 0, "inverse": 0}
+    for name, kind in (("rfft", "forward"), ("rfftn", "forward"),
+                       ("irfft", "inverse"), ("irfftn", "inverse")):
+        def counted(*args, _kind=kind, _transform=getattr(np.fft, name), **kwargs):
+            counts[_kind] += 1
+            return _transform(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    return counts
+
+
+def test_evolve_takes_two_transforms_per_attempt_and_u_t_when_undecided(monkeypatch):
     spec = _spec()
     nl = Nonlinearity(catalog_make("invlog", p=2.0), 1)
     data = make_data(spec, amplitude=0.5, width=2.0)
     dt, steps, stride = 0.125, 40, 8  # a binary dt: no step is clipped, none is rejected
     cfg = EvolveConfig(grid=spec, nonlinearity=nl, data=data, dt=dt, t_max=steps * dt,
                        sample_stride=stride, keep_fields=False)
-    # a 1-d grid calls rfft/irfft and a 2-d one rfftn/irfftn: count all four
-    counts = dict.fromkeys(("rfft", "irfft", "rfftn", "irfftn"), 0)
-    for name in counts:
-        def counted(*args, _name=name, _transform=getattr(np.fft, name), **kwargs):
-            counts[_name] += 1
-            return _transform(*args, **kwargs)
-        monkeypatch.setattr(np.fft, name, counted)
+    counts = _count_transforms(monkeypatch)
     traj = evolve(cfg)
     assert traj.outcome == Outcome.COMPLETED
-    samples = len(traj.times)
-    assert samples == steps // stride + 1
-    # set-up: u, v and h(u) forward; a step: h(u) forward, u and v back; a
-    # sample takes its norms from u and the carried u_hat, so no transform
-    assert counts["rfft"] + counts["rfftn"] == 3 + steps
-    assert counts["irfft"] + counts["irfftn"] == 2 * steps
+    assert (traj.steps_accepted, traj.steps_rejected) == (steps, 0)
+    assert len(traj.times) == steps // stride + 1
+    # set-up: u, v and h(u) forward; an attempt: u back and h(u) forward; a
+    # sample takes its norms from u and the carried u_hat, so no transform.
+    # u_t goes back only when the bound on max|u_t| cannot accept the step,
+    # which on decaying data is rare
+    assert counts["forward"] == 3 + steps
+    exact = counts["inverse"] - steps
+    assert 0 <= exact <= steps // 10
+
+    # with a bound that never decides, u_t goes back on every attempt; the old
+    # state's size is then always known, so it is one exact inversion a step
+    monkeypatch.setattr(HalfSpectrum, "sup_bound", lambda self, coeffs: math.inf)
+    counts.update(forward=0, inverse=0)
+    blind = evolve(cfg)
+    assert counts == {"forward": 3 + steps, "inverse": 2 * steps}
+    assert all(np.array_equal(blind.norms[key], traj.norms[key]) for key in traj.norms)
+
+
+def _evolve_by_the_exact_rule(config):
+    """`evolve` without the bound: u_t goes back to the grid on every attempt
+    and the growth rule reads the exact sizes, through the same kernel and h.
+    Returns the trajectory's fields, the step counts and the smallest dt tried."""
+    half = half_spectrum(config.grid)
+    time, u, v = config.data.time, config.data.u.values, config.data.v.values
+    carried = tuple(half.forward(f) for f in (u, v, config.nonlinearity.h_eval(u)))
+    size = float(np.max(np.abs(u)) + np.max(np.abs(v)))
+    dt, dt_tried, accepted, rejected = config.dt, config.dt, 0, 0
+    times, norms, u_samples = [time], [_sample_norms(half, u, carried[0])], [u.copy()]
+    sample_dt = config.dt * config.sample_stride
+    next_sample = time + sample_dt
+    outcome, t_est = Outcome.COMPLETED, math.inf
+    while time < config.t_max - 1e-12:
+        dt_step = min(dt, config.t_max - time, next_sample - time)
+        dt_tried = min(dt_tried, dt)
+        try:
+            (u, _), candidate, sup_after = semilinear._carried_step(
+                half, carried, time, dt_step, config.nonlinearity)
+            sup_v = float(np.max(np.abs(half.inverse(candidate[1]))))
+            if not math.isfinite(sup_v):
+                raise BlowupSignal(time)
+        except BlowupSignal:
+            outcome, t_est = Outcome.BLEW_UP, time
+            break
+        size_after = sup_after + sup_v
+        if size_after > 2.0 * max(size, 1e-14) and dt_step > semilinear.DT_MIN:
+            rejected += 1
+            dt = 0.5 * dt_step
+            if dt < semilinear.DT_MIN:
+                outcome, t_est = Outcome.STEP_COLLAPSE, time
+                break
+            continue
+        accepted += 1
+        carried, size, time = candidate, size_after, time + dt_step
+        if sup_after > semilinear.BLOWUP_THRESHOLD:
+            outcome, t_est = Outcome.BLEW_UP, time
+            break
+        if time >= next_sample - 1e-12 or time >= config.t_max - 1e-12:
+            times.append(time)
+            norms.append(_sample_norms(half, u, carried[0]))
+            u_samples.append(u.copy())
+            while next_sample <= time + 1e-12:
+                next_sample += sample_dt
+    return (np.asarray(times), {key: np.array([s[key] for s in norms]) for key in norms[0]},
+            outcome, t_est, u_samples), (accepted, rejected, dt_tried)
+
+
+@pytest.mark.parametrize("forcing, amplitude, t_max, rejects", [
+    (Nonlinearity(catalog_make("invlog", p=2.0), 1), 1.0, 20.0, False),
+    (PowerForcing(1.5), 8.0, 50.0, False),
+    (Nonlinearity(catalog_make("invlog", p=2.0), 1), 8.0, 50.0, True),
+], ids=["invlog-decaying", "oracle-1.5-amplitude-8", "invlog-amplitude-8-halving"])
+def test_evolve_makes_the_exact_rule_s_decisions_bit_for_bit(monkeypatch, forcing, amplitude,
+                                                             t_max, rejects):
+    spec = _spec()
+    cfg = EvolveConfig(grid=spec, nonlinearity=forcing, data=make_data(spec, amplitude=amplitude,
+                       width=2.0), dt=0.01, t_max=t_max, sample_stride=50)
+    (times, norms, outcome, t_est, u_samples), stats = _evolve_by_the_exact_rule(cfg)
+    counts = _count_transforms(monkeypatch)
+    traj = evolve(cfg)
+    assert np.array_equal(traj.times, times)
+    assert all(np.array_equal(traj.norms[key], norms[key]) for key in norms)
+    assert (traj.outcome, traj.t_est) == (outcome, t_est)
+    assert len(traj.u_samples) == len(u_samples)
+    assert all(np.array_equal(a, b) for a, b in zip(traj.u_samples, u_samples))
+    assert (traj.steps_accepted, traj.steps_rejected, traj.dt_min) == stats
+    assert (traj.steps_rejected > 0) == rejects
+    attempts = traj.steps_accepted + traj.steps_rejected
+    exact = counts["inverse"] - attempts
+    if outcome == Outcome.COMPLETED:
+        # while u grows from its zero data, max|u| is too small a lower bound
+        # on the old size and every other step is decided exactly (64 of 2,000
+        # inversions here, all before t = 0.65); after that the bound decides
+        assert exact <= attempts // 20
+    else:  # near blow-up the bound cannot decide, and the exact sizes do
+        assert exact > 0
+
+
+def test_a_non_finite_u_t_spectrum_ends_in_blowup():
+    # h(u) is finite, 1e308 everywhere from the third call, but its transform
+    # overflows, so the u_t spectrum of that attempt is not finite: the bound
+    # cannot accept it and the exact path signals, at the attempt's start
+    spec = _spec()
+
+    class HugeFromCall:
+        calls = 0
+
+        def h_eval(self, s):
+            self.calls += 1
+            return np.full(s.shape, 1e308) if self.calls >= 3 else np.zeros(s.shape)
+
+    data = make_data(spec, amplitude=0.5, width=2.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj = evolve(EvolveConfig(grid=spec, nonlinearity=HugeFromCall(), data=data,
+                                   dt=0.125, t_max=5.0))
+        assert (traj.outcome, traj.t_est) == (Outcome.BLEW_UP, 0.125)
+        forcing = HugeFromCall()
+        forcing.calls = 2
+        with pytest.raises(BlowupSignal) as caught:
+            step(data, np.zeros(spec.shape), 0.125, forcing)
+    assert caught.value.time == data.time
 
 
 def test_evolve_evaluates_forcing_once_per_step(monkeypatch):
@@ -233,16 +356,18 @@ def test_evolve_evaluates_forcing_once_per_step(monkeypatch):
     assert traj.outcome == Outcome.COMPLETED
     assert forcing.calls == steps + 1
     assert len(returned) == steps
-    (u_end, v_end, _), _, _ = returned[-1]
+    half = half_spectrum(spec)
+    (u_end, _), (_, v_hat_end, _), _ = returned[-1]
     assert np.array_equal(u_end, traj.u_samples[-1])
+    v_end = half.inverse(v_hat_end)
 
     # evolve is a loop of the core, bit for bit
-    half, nl = half_spectrum(spec), forcing.inner
+    nl = forcing.inner
     carried = tuple(half.forward(f) for f in (data.u.values, data.v.values, nl.h_eval(data.u.values)))
     for k in range(steps):
-        (u, v, _), carried, _ = core(half, carried, k * dt, dt, nl)
+        (u, _), carried, _ = core(half, carried, k * dt, dt, nl)
     assert np.array_equal(u, u_end)
-    assert np.array_equal(v, v_end)
+    assert np.array_equal(half.inverse(carried[1]), v_end)
 
     # a loop of the public step agrees up to round-off
     state, h_u = data, nl.h_eval(data.u.values)
