@@ -179,10 +179,10 @@ class HalfSpectrum:
             return np.fft.rfft(values)
         return np.fft.rfftn(values, axes=(0, 1))
 
-    def inverse(self, coeffs):
+    def inverse(self, coeffs, out=None):
         if self.spec.dimension == 1:
-            return np.fft.irfft(coeffs, self.spec.points)
-        return np.fft.irfftn(coeffs, s=self.spec.shape, axes=(0, 1))
+            return np.fft.irfft(coeffs, self.spec.points, out=out)
+        return np.fft.irfftn(coeffs, s=self.spec.shape, axes=(0, 1), out=out)
 
     def sup_bound(self, coeffs):
         """An upper bound on max|inverse(coeffs)| from the coefficients alone.

@@ -321,41 +321,116 @@ def test_linear_norm_series_matches_propagate_loop(spec):
         assert np.max(np.abs(series[key] / np.asarray(values) - 1.0)) <= 1e-12, key
 
 
-def _series_by_full_builds(state, times):
-    """`linear_norm_series` written out: multipliers built on every mode, the
-    norms of u by `lp_norm` and the Parseval sums by their formula."""
-    half = half_spectrum(state.spec)
+def _series_by_shell_loop(state, times):
+    """`linear_norm_series` written out: the per-shell sums by a plain loop
+    over the distinct values of |xi|^2, adding each shell's modes one by one
+    in C order, `multipliers` at the full time from the data, and `lp_norm`
+    for L1 and Linf of the inverse transform."""
     spec = state.spec
+    half = half_spectrum(spec)
+    values, index = half._distinct_xi_sq
     scale = spec.cell / spec.points ** spec.dimension
-
-    def parseval(c, weight=1.0):
-        return float(np.sum(((c.real ** 2 + c.imag ** 2) * weight) @ half.weights)) * scale
-
-    u_hat, v_hat = half.forward(state.u.values), half.forward(state.v.values)
+    phi, psi = half.forward(state.u.values), half.forward(state.v.values)
+    terms = [(f.real * g.real + f.imag * g.imag) * half.weights
+             for f, g in ((phi, phi), (phi, psi), (psi, psi))]
+    A, B, C = (np.zeros(values.size) for _ in terms)
+    for k in range(values.size):
+        shell = index == k
+        for sums, weighted in zip((A, B, C), terms):
+            total = 0.0
+            for term in weighted[shell]:
+                total += term
+            sums[k] = total
     out = {key: [] for key in ("L1", "L2", "Linf", "H1dot", "energy")}
-    for t_prev, t in zip([state.time, *times], times):
-        K0, K1, dK0, dK1 = multipliers(half.xi_sq, t - t_prev)
-        u_hat, v_hat = K0 * u_hat + K1 * v_hat, dK0 * u_hat + dK1 * v_hat
-        u = GridField(spec, half.inverse(u_hat))
-        for key, p in (("L1", 1), ("L2", 2), ("Linf", np.inf)):
-            out[key].append(lp_norm(u, p))
-        out["H1dot"].append(math.sqrt(parseval(u_hat, half.xi_sq)))
-        out["energy"].append(0.5 * parseval(v_hat) + 0.5 * out["H1dot"][-1] ** 2)
+    for t in times:
+        K0, K1, dK0, dK1 = multipliers(values, t - state.time)
+        u = GridField(spec, half.inverse(K0[index] * phi + K1[index] * psi))
+        out["L1"].append(lp_norm(u, 1))
+        out["Linf"].append(lp_norm(u, np.inf))
+        shell_u = K0 ** 2 * A + 2.0 * K0 * K1 * B + K1 ** 2 * C
+        shell_v = dK0 ** 2 * A + 2.0 * dK0 * dK1 * B + dK1 ** 2 * C
+        out["L2"].append(math.sqrt(scale * np.sum(shell_u)))
+        out["H1dot"].append(math.sqrt(scale * np.sum(values * shell_u)))
+        out["energy"].append(0.5 * scale * np.sum(shell_v) + 0.5 * out["H1dot"][-1] ** 2)
     return out
 
 
-def test_linear_norm_series_is_the_full_build_loop_bit_for_bit():
-    # |xi| = 1/2 lies on this grid's spectrum, so early gaps take the series branch
+def test_linear_norm_series_is_the_shell_sum_formula_bit_for_bit():
+    # |xi| = 1/2 lies on this grid's spectrum, so the early samples take the series branch
     spec = GridSpec(2, 40.0, 128)
     rng = np.random.default_rng(5)
     state = WaveState(0.0, GridField(spec, rng.standard_normal(spec.shape)),
                       GridField(spec, rng.standard_normal(spec.shape)))
     times = np.array([0.5, 1.0, 2.8, 5.0, 30.0, 126.0])
     series = linear_norm_series(state, times)
-    reference = _series_by_full_builds(state, times)
+    reference = _series_by_shell_loop(state, times)
     assert series.keys() == {"t", *reference}
     for key, values in reference.items():
         assert np.array_equal(series[key], np.array(values)), key
+
+
+def _per_mode_series(state, times):
+    """L2, H1dot and the energy by per-mode Parseval sums over the full
+    spectra of (u, u_t), formed explicitly from the data on every mode.
+    Spectral space keeps the decayed modes exact: a loop through physical
+    space would add the rounding of the surviving |xi| = 0 mode to them."""
+    spec = state.spec
+    scale = spec.cell / spec.points ** spec.dimension
+    xi_sq = spec.wavenumber_sq()
+    phi, psi = np.fft.fftn(state.u.values), np.fft.fftn(state.v.values)
+    out = {key: [] for key in ("L2", "H1dot", "energy")}
+    for t in times:
+        K0, K1, dK0, dK1 = multipliers(xi_sq, t - state.time)
+        u_power = np.abs(K0 * phi + K1 * psi) ** 2
+        v_power = np.abs(dK0 * phi + dK1 * psi) ** 2
+        grad_sq = scale * np.sum(u_power * xi_sq)
+        out["L2"].append(math.sqrt(scale * np.sum(u_power)))
+        out["H1dot"].append(math.sqrt(grad_sq))
+        out["energy"].append(0.5 * scale * np.sum(v_power) + 0.5 * grad_sq)
+    return out
+
+
+# the cross-term sum B is exercised only by data with both phi and psi nonzero
+@pytest.mark.parametrize("data", ["white", "psi=-phi/2", "psi=-2phi"])
+@pytest.mark.parametrize("spec", [GridSpec(1, 16.0, 256), GridSpec(2, 8.0, 32),
+                                  GridSpec(2, 40.0, 128)], ids=["1d-256", "2d-32", "2d-128"])
+def test_linear_norm_series_matches_per_mode_sums(spec, data):
+    rng = np.random.default_rng(23)
+    phi = rng.standard_normal(spec.shape)
+    psi = {"white": rng.standard_normal(spec.shape), "psi=-phi/2": -0.5 * phi,
+           "psi=-2phi": -2.0 * phi}[data]
+    state = WaveState(0.0, GridField(spec, phi), GridField(spec, psi))
+    times = np.array([0.0, 0.05, 0.5, 2.8, 15.0, 126.0])
+    series = linear_norm_series(state, times)
+    for key, values in _per_mode_series(state, times).items():
+        assert np.max(np.abs(series[key] / np.asarray(values) - 1.0)) <= 1e-12, key
+
+
+@pytest.mark.parametrize("spec", [GridSpec(1, 16.0, 256), GridSpec(2, 8.0, 32)], ids=["1d", "2d"])
+def test_linear_norm_series_takes_two_forward_and_one_inverse_per_sample(spec, monkeypatch):
+    calls = {"forward": 0, "inverse": 0}
+
+    def counted(kind, fn):
+        def wrapper(*args, **kwargs):
+            calls[kind] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name, kind in (("rfft", "forward"), ("rfftn", "forward"),
+                       ("irfft", "inverse"), ("irfftn", "inverse")):
+        monkeypatch.setattr(np.fft, name, counted(kind, getattr(np.fft, name)))
+
+    def no_flow(*args):
+        raise AssertionError("linear_norm_series must not form the u_t spectrum")
+
+    monkeypatch.setattr(linear, "_flow_hat", no_flow)
+    built = _count_builds(monkeypatch)
+    times = np.linspace(0.5, 20.0, 7)
+    linear_norm_series(_psi_state(spec), times)
+    assert calls == {"forward": 2, "inverse": times.size}
+    # one build per sample, on the distinct values of |xi|^2 only
+    distinct = half_spectrum(spec)._distinct_xi_sq[0].size
+    assert [K.size for K, *_ in built] == [distinct] * times.size
 
 
 def test_linear_norm_series_rejects_non_finite():
