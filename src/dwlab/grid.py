@@ -8,7 +8,9 @@ cell weight dx^n, which is spectrally accurate for smooth periodic data.
 Fields are real, so every spectral computation runs on the real-FFT
 half-spectrum of its grid (`half_spectrum(spec)`): the spectral norms,
 the gradient and, in `dwlab.linear`, the exact linear flow.  Its transform
-pair is `rfft`/`irfft` on a 1-d grid and `rfftn`/`irfftn` on a 2-d one.
+pair is `rfft`/`irfft` on a 1-d grid.  On a 2-d grid it runs the two stages
+of `rfftn`/`irfftn` itself, with the complex stage in place, so its output
+is theirs bit for bit.
 """
 
 from __future__ import annotations
@@ -171,18 +173,27 @@ class HalfSpectrum:
             array.flags.writeable = False
         return values, index
 
-    # A 1-d grid calls rfft/irfft, which skip rfftn's n-d argument handling
-    # before the same pocketfft call.  The functions are looked up on np.fft
-    # at each call, so a patched numpy.fft attribute is seen by every grid.
+    # A 1-d grid calls rfft/irfft.  A 2-d grid runs rfftn's and irfftn's two
+    # stages in their order, so the output is theirs bit for bit: forward is
+    # rfft along the last axis and then the complex fft along the first, in
+    # place over rfft's output, where rfftn allocates a second array.  The
+    # functions are looked up on np.fft at each call, so a patched numpy.fft
+    # attribute is seen by every grid.
     def forward(self, values):
-        if self.spec.dimension == 1:
-            return np.fft.rfft(values)
-        return np.fft.rfftn(values, axes=(0, 1))
+        coeffs = np.fft.rfft(values)
+        if self.spec.dimension == 2:
+            np.fft.fft(coeffs, axis=0, out=coeffs)
+        return coeffs
 
-    def inverse(self, coeffs, out=None):
-        if self.spec.dimension == 1:
-            return np.fft.irfft(coeffs, self.spec.points, out=out)
-        return np.fft.irfftn(coeffs, s=self.spec.shape, axes=(0, 1), out=out)
+    def inverse(self, coeffs, out=None, overwrite=False):
+        """The grid values of the half-spectrum `coeffs`, written into `out` if
+        given.  A 2-d inverse runs the complex ifft along the first axis into a
+        fresh array, so `coeffs` is left as it was, or with `overwrite` in place
+        over `coeffs`, which then holds that intermediate; irfft along the last
+        axis follows.  A 1-d inverse is one irfft and never writes `coeffs`."""
+        if self.spec.dimension == 2:
+            coeffs = np.fft.ifft(coeffs, axis=0, out=coeffs if overwrite else None)
+        return np.fft.irfft(coeffs, self.spec.points, out=out)
 
     def sup_bound(self, coeffs):
         """An upper bound on max|inverse(coeffs)| from the coefficients alone.
@@ -235,6 +246,8 @@ def _lp_of_magnitude(magnitude, p, cell):
     """The L^p Riemann sum (p >= 1 or np.inf) of a field from its |values|."""
     if p == np.inf:
         return float(np.max(magnitude))
+    if p == 1:  # magnitude ** 1 is a copy of the same values, so the same sum
+        return float(np.sum(magnitude) * cell)
     return float((np.sum(magnitude ** p) * cell) ** (1.0 / p))
 
 

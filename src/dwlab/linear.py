@@ -22,10 +22,11 @@ spread over the modes by `_grid_multipliers`.  The stepper's kernel and
 `propagate`, which wraps it in the transform pair, pass the last few
 (grid, dt) multipliers, kept in a cache.
 
-`linear_norm_series` takes each sample from the data at the full time:
-two spread multipliers and one inverse transform give u, and its L1 and
-Linf.  L2, H1dot and the energy are quadratic forms in the multipliers
-over three per-shell sums of the data, so the u_t spectrum is never formed.
+`linear_norm_series` takes each sample from the data at the full time,
+and only the data fields that are not zero enter it: one spread multiplier
+per such field and one inverse transform give u, and its L1 and Linf.  L2,
+H1dot and the energy are quadratic forms in the multipliers over per-shell
+Gram sums of those fields, so the u_t spectrum is never formed.
 """
 
 from __future__ import annotations
@@ -164,22 +165,27 @@ def linear_norm_series(state, times):
     """Norm diagnostics of the linear flow at the requested times.
 
     Each sample is taken from the data at its full time t - t0, so nothing
-    is carried from one sample to the next: `multipliers` at t - t0 on the
-    distinct values of |xi|^2, spread by two takes into
-    u_hat = K0 phi_hat + K1 psi_hat, and one inverse transform for L1 and
-    Linf from one |u|; a non-finite u is named by its index.  The L2 norms
-    come from three per-shell sums of the data, formed once:
+    is carried from one sample to the next.  Once per call the data are
+    transformed and only the fields among (phi_hat, psi_hat) that are not
+    zero are kept, each with its multiplier slot (K0 and dK0 for phi, K1 and
+    dK1 for psi): the CLI's data have phi = 0.  A sample builds `multipliers`
+    at t - t0 on the distinct values of |xi|^2, spreads one of them per kept
+    field by a take into u_hat = K0 phi_hat + K1 psi_hat, and makes one
+    inverse transform, in place over u_hat, for L1 and Linf from one |u|; a
+    non-finite u is named by its index.  The L2 norms come from the
+    per-shell Gram sums of the kept fields, formed once (`_shell_sums`):
 
         A = sum w |phi_hat|^2,  B = sum w Re(phi_hat conj(psi_hat)),  C = sum w |psi_hat|^2
 
     over the modes of each distinct |xi|^2 with the Parseval column weights
-    w.  The flow multiplies a whole shell by the same (K0, K1), so its share
-    of |u|_{L2}^2 is K0^2 A + 2 K0 K1 B + K1^2 C, and of |u_t|_{L2}^2 the
-    same form in (dK0, dK1): the u_t spectrum is never formed.  L2, H1dot
-    and the energy E = 1/2 |u_t|_{L2}^2 + 1/2 |grad u|_{L2}^2 are sums over
-    the shells.  They are taken as elementwise products and `.sum()`, not
-    by `@` or `np.dot`, which hand long vectors to a threaded BLAS that
-    spends CPU time on other cores for no gain in wall time.
+    w; a zero field's sums are zero and are not formed.  The flow multiplies
+    a whole shell by the same (K0, K1), so its share of |u|_{L2}^2 is
+    K0^2 A + 2 K0 K1 B + K1^2 C, and of |u_t|_{L2}^2 the same form in
+    (dK0, dK1): the u_t spectrum is never formed.  L2, H1dot and the energy
+    E = 1/2 |u_t|_{L2}^2 + 1/2 |grad u|_{L2}^2 are sums over the shells.
+    They are taken as elementwise products and `.sum()`, not by `@` or
+    `np.dot`, which hand long vectors to a threaded BLAS that spends CPU
+    time on other cores for no gain in wall time.  Zero data give zero norms.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or not times.size or not np.all(np.isfinite(times)) \
@@ -191,26 +197,32 @@ def linear_norm_series(state, times):
     spec = state.spec
     half = half_spectrum(spec)
     values, index = half._distinct_xi_sq
-    phi_hat, psi_hat = half.forward(state.u.values), half.forward(state.v.values)
-    A, B, C = _shell_sums(half, phi_hat, psi_hat)
+    fields = [(slot, f_hat) for slot, f_hat in
+              enumerate((half.forward(state.u.values), half.forward(state.v.values)))
+              if f_hat.any()]
+    gram = _shell_sums(half, fields)
     scale, cell = spec.cell / spec.points ** spec.dimension, spec.cell
     # The mode-sized arrays of a sample are written into buffers made once: on
-    # a 512^2 grid, fresh ones cost a 30-sample call 17k-37k minor page faults, not 4k.
-    spread, u_hat, term = np.empty(index.shape), np.empty_like(phi_hat), np.empty_like(phi_hat)
+    # a 512^2 grid, fresh ones cost a 30-sample call 17k-37k minor page faults,
+    # not 4k.  u_hat stays zero for zero data; a second product term is needed
+    # only for a second field.
+    spread, u_hat = np.empty(index.shape), np.zeros(index.shape, dtype=complex)
+    products = (u_hat, np.empty_like(u_hat)) if len(fields) == 2 else (u_hat,)
     magnitude = np.empty(spec.shape)
     samples = []
     for t in times:
-        K0, K1, dK0, dK1 = multipliers(values, t - state.time)
-        np.multiply(np.take(K0, index, out=spread), phi_hat, out=u_hat)
-        u_hat += np.multiply(np.take(K1, index, out=spread), psi_hat, out=term)
-        np.abs(half.inverse(u_hat, out=magnitude), out=magnitude)
+        K = multipliers(values, t - state.time)
+        for (slot, f_hat), product in zip(fields, products):
+            np.multiply(np.take(K[slot], index, out=spread), f_hat, out=product)
+        if len(products) == 2:
+            u_hat += products[1]
+        np.abs(half.inverse(u_hat, out=magnitude, overwrite=True), out=magnitude)
         sup = _lp_of_magnitude(magnitude, np.inf, cell)
         _name_non_finite(sup, magnitude)  # |u| is not finite where u is not
-        shell_u = K0 * K0 * A + 2.0 * K0 * K1 * B + K1 * K1 * C
-        shell_v = dK0 * dK0 * A + 2.0 * dK0 * dK1 * B + dK1 * dK1 * C
-        l2_sq = scale * float(shell_u.sum())
-        h1 = math.sqrt(scale * float((values * shell_u).sum()))
-        energy = 0.5 * scale * float(shell_v.sum()) + 0.5 * h1 ** 2
+        shell_u, shell_v = _shell_form(K[:2], gram), _shell_form(K[2:], gram)
+        l2_sq = scale * float(np.sum(shell_u))
+        h1 = math.sqrt(scale * float(np.sum(values * shell_u)))
+        energy = 0.5 * scale * float(np.sum(shell_v)) + 0.5 * h1 ** 2
         if not (math.isfinite(l2_sq) and math.isfinite(energy)):
             raise ValueError(f"linear flow to t={t} produced non-finite norms")
         samples.append((_lp_of_magnitude(magnitude, 1, cell), math.sqrt(l2_sq), sup, h1, energy))
@@ -218,19 +230,27 @@ def linear_norm_series(state, times):
                                           map(np.array, zip(*samples))))}
 
 
-def _shell_sums(half, phi_hat, psi_hat):
-    """Per-shell sums (A, B, C) of w|phi_hat|^2, w Re(phi_hat conj(psi_hat)) and
-    w|psi_hat|^2 over the modes of each distinct |xi|^2, w the Parseval column
-    weights; `np.bincount` adds each shell's modes in C order."""
+def _shell_sums(half, fields):
+    """The per-shell Gram sums of the data fields [(slot, f_hat), ...]: for each
+    pair of fields (i, f), (j, g) with f at or before g in `fields`, the triple
+    (i, j, G) with G = sum w Re(f conj(g)) over the modes of each distinct
+    |xi|^2, w the Parseval column weights; `np.bincount` adds each shell's
+    modes in C order.  For (phi, psi) these are A, B and C, in that order."""
     values, index = half._distinct_xi_sq
     flat = index.ravel()
 
-    def shell_sum(products):
+    def shell_sum(f, g):
+        products = f.real * g.real + f.imag * g.imag
         return np.bincount(flat, weights=(products * half.weights).ravel(), minlength=values.size)
 
-    return (shell_sum(phi_hat.real * phi_hat.real + phi_hat.imag * phi_hat.imag),
-            shell_sum(phi_hat.real * psi_hat.real + phi_hat.imag * psi_hat.imag),
-            shell_sum(psi_hat.real * psi_hat.real + psi_hat.imag * psi_hat.imag))
+    return [(i, j, shell_sum(f, g)) for n, (i, f) in enumerate(fields) for j, g in fields[n:]]
+
+
+def _shell_form(K, gram):
+    """Per shell, the sum over the Gram sums (i, j, G) of K_i K_j G with the
+    cross term (i != j) doubled, added in `gram`'s order: for two fields
+    ((K0 K0) A + ((2 K0) K1) B) + (K1 K1) C.  0 for no Gram sums."""
+    return sum(K[i] * K[j] * G if i == j else 2.0 * K[i] * K[j] * G for i, j, G in gram)
 
 
 @dataclass

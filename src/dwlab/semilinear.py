@@ -10,8 +10,9 @@ which is second order and inherits the linear decay structure exactly
 (h = 0 reduces to the exact flow).  `evolve` carries the real-FFT
 half-spectra (u_hat, v_hat, h_hat) of u, u_t and h(u) from one accepted step
 to the next and kicks and drifts them in place of the fields, so an attempt
-costs two real transforms (`rfft`/`irfft` on a 1-d grid, `rfftn`/`irfftn`
-on a 2-d one, through `dwlab.grid.HalfSpectrum`): u_hat back, for h(u) and
+costs two real transforms (`rfft`/`irfft`, each followed or preceded by a
+complex stage along the first axis on a 2-d grid, through
+`dwlab.grid.HalfSpectrum`): u_hat back, for h(u) and
 max|u|, and h(u) forward, for the closing kick and the next opening one.
 The growth check needs max|u_t| only to decide whether max|u| + max|u_t|
 more than doubled, and `HalfSpectrum.sup_bound` bounds it from v_hat: a

@@ -225,6 +225,26 @@ def test_half_spectrum_1d_pair_matches_rfftn(points):
     assert np.array_equal(half.inverse(coeffs), np.fft.irfftn(coeffs, s=spec.shape, axes=(0,)))
 
 
+@pytest.mark.parametrize("points", [16, 64, 512])
+def test_half_spectrum_2d_pair_matches_rfftn(points):
+    # a 2-d grid runs rfftn's and irfftn's two stages itself, the complex one in
+    # place; their output is rfftn's and irfftn's bit for bit
+    spec = GridSpec(2, 10.0, points)
+    half = half_spectrum(spec)
+    values = np.random.default_rng(points).standard_normal(spec.shape)
+    coeffs = half.forward(values)
+    assert np.array_equal(coeffs, np.fft.rfftn(values, axes=(0, 1)))
+    expected = np.fft.irfftn(coeffs, s=spec.shape, axes=(0, 1))
+    kept = coeffs.copy()
+    assert np.array_equal(half.inverse(coeffs), expected)
+    # without overwrite the coefficients are untouched: evolve retries a rejected
+    # attempt from its carried spectra
+    assert np.array_equal(coeffs, kept)
+    out = np.empty(spec.shape)
+    assert half.inverse(coeffs.copy(), out=out, overwrite=True) is out
+    assert np.array_equal(out, expected)
+
+
 @pytest.mark.parametrize("spec", [GridSpec(1, 5.0, 256), GridSpec(2, 5.0, 64)], ids=["1d", "2d"])
 def test_parseval(spec):
     # white noise fills the DC and Nyquist columns of the half-spectrum, so a

@@ -322,10 +322,11 @@ def test_linear_norm_series_matches_propagate_loop(spec):
 
 
 def _series_by_shell_loop(state, times):
-    """`linear_norm_series` written out: the per-shell sums by a plain loop
-    over the distinct values of |xi|^2, adding each shell's modes one by one
-    in C order, `multipliers` at the full time from the data, and `lp_norm`
-    for L1 and Linf of the inverse transform."""
+    """`linear_norm_series` written out for any data, zero fields included: all
+    three per-shell sums by a plain loop over the distinct values of |xi|^2,
+    adding each shell's modes one by one in C order, `multipliers` at the full
+    time from the data, both fields spread into u_hat, and `lp_norm` for L1 and
+    Linf of the inverse transform."""
     spec = state.spec
     half = half_spectrum(spec)
     values, index = half._distinct_xi_sq
@@ -356,17 +357,23 @@ def _series_by_shell_loop(state, times):
 
 
 def test_linear_norm_series_is_the_shell_sum_formula_bit_for_bit():
-    # |xi| = 1/2 lies on this grid's spectrum, so the early samples take the series branch
+    # |xi| = 1/2 lies on this grid's spectrum, so the early samples take the series
+    # branch.  The series works only with the data fields that are not zero; the
+    # reference always forms all three sums, so the zero fields' terms must vanish
     spec = GridSpec(2, 40.0, 128)
     rng = np.random.default_rng(5)
-    state = WaveState(0.0, GridField(spec, rng.standard_normal(spec.shape)),
-                      GridField(spec, rng.standard_normal(spec.shape)))
+    phi, psi = rng.standard_normal(spec.shape), rng.standard_normal(spec.shape)
+    zero = np.zeros(spec.shape)
     times = np.array([0.5, 1.0, 2.8, 5.0, 30.0, 126.0])
-    series = linear_norm_series(state, times)
-    reference = _series_by_shell_loop(state, times)
-    assert series.keys() == {"t", *reference}
-    for key, values in reference.items():
-        assert np.array_equal(series[key], np.array(values)), key
+    for data in ((phi, psi), (zero, psi), (phi, zero), (zero, zero)):
+        state = WaveState(0.0, GridField(spec, data[0]), GridField(spec, data[1]))
+        series = linear_norm_series(state, times)
+        reference = _series_by_shell_loop(state, times)
+        assert series.keys() == {"t", *reference}
+        for key, values in reference.items():
+            assert np.array_equal(series[key], np.array(values)), key
+    # the last data are zero, and so is every norm
+    assert not any(np.any(values) for key, values in series.items() if key != "t")
 
 
 def _per_mode_series(state, times):
@@ -408,7 +415,9 @@ def test_linear_norm_series_matches_per_mode_sums(spec, data):
 
 @pytest.mark.parametrize("spec", [GridSpec(1, 16.0, 256), GridSpec(2, 8.0, 32)], ids=["1d", "2d"])
 def test_linear_norm_series_takes_two_forward_and_one_inverse_per_sample(spec, monkeypatch):
-    calls = {"forward": 0, "inverse": 0}
+    # a real transform is one rfft or irfft call on either grid; a 2-d one adds
+    # its complex stage and never calls rfftn or irfftn
+    calls = dict.fromkeys(("forward", "inverse", "n-d", "take"), 0)
 
     def counted(kind, fn):
         def wrapper(*args, **kwargs):
@@ -416,9 +425,10 @@ def test_linear_norm_series_takes_two_forward_and_one_inverse_per_sample(spec, m
             return fn(*args, **kwargs)
         return wrapper
 
-    for name, kind in (("rfft", "forward"), ("rfftn", "forward"),
-                       ("irfft", "inverse"), ("irfftn", "inverse")):
-        monkeypatch.setattr(np.fft, name, counted(kind, getattr(np.fft, name)))
+    for module, name, kind in ((np.fft, "rfft", "forward"), (np.fft, "irfft", "inverse"),
+                               (np.fft, "rfftn", "n-d"), (np.fft, "irfftn", "n-d"),
+                               (np, "take", "take")):
+        monkeypatch.setattr(module, name, counted(kind, getattr(module, name)))
 
     def no_flow(*args):
         raise AssertionError("linear_norm_series must not form the u_t spectrum")
@@ -426,11 +436,19 @@ def test_linear_norm_series_takes_two_forward_and_one_inverse_per_sample(spec, m
     monkeypatch.setattr(linear, "_flow_hat", no_flow)
     built = _count_builds(monkeypatch)
     times = np.linspace(0.5, 20.0, 7)
-    linear_norm_series(_psi_state(spec), times)
-    assert calls == {"forward": 2, "inverse": times.size}
-    # one build per sample, on the distinct values of |xi|^2 only
-    distinct = half_spectrum(spec)._distinct_xi_sq[0].size
-    assert [K.size for K, *_ in built] == [distinct] * times.size
+    psi_only = _psi_state(spec)
+    mixed = WaveState(0.0, GridField(spec, np.cos(spec.meshgrid()[0]) * psi_only.v.values),
+                      psi_only.v)
+    # one spread per nonzero data field and sample: phi = 0 spreads K1 only
+    for state, spreads in ((psi_only, 1), (mixed, 2)):
+        calls.update(dict.fromkeys(calls, 0))
+        del built[:]
+        linear_norm_series(state, times)
+        assert calls == {"forward": 2, "inverse": times.size, "n-d": 0,
+                         "take": spreads * times.size}
+        # one build per sample, on the distinct values of |xi|^2 only
+        distinct = half_spectrum(spec)._distinct_xi_sq[0].size
+        assert [K.size for K, *_ in built] == [distinct] * times.size
 
 
 def test_linear_norm_series_rejects_non_finite():
