@@ -206,21 +206,29 @@ class HalfSpectrum:
         equality when the phases line up at one grid point.  The factor
         1 + 1e-10 covers the rounding of this sum and of the transform
         (relative O(N eps) and O(eps log N)).  NaN or inf if a coefficient
-        is not finite.
+        is not finite.  The weighted sum is one matrix product; on a 1-d grid
+        it is already the total, and a 2-d grid adds up its rows.
         """
         spec = self.spec
-        total = float(np.sum(np.abs(coeffs) @ self.weights))
-        return total / spec.points ** spec.dimension * (1.0 + 1e-10)
+        return _total(np.abs(coeffs) @ self.weights) / spec.points ** spec.dimension * (1.0 + 1e-10)
 
     def parseval(self, coeffs, weight=1.0):
         """Full-spectrum sum of |coeffs|^2 * weight, scaled so that weight 1
-        gives the squared L2 norm (cell weights dx^n) of the field."""
+        gives the squared L2 norm (cell weights dx^n) of the field.  The column
+        weights enter by one matrix product, whose rows a 2-d grid adds up."""
         power = coeffs.real ** 2
         power += coeffs.imag ** 2
         if np.ndim(weight) or weight != 1.0:  # x * 1.0 is x
             power *= weight
         spec = self.spec
-        return float(np.sum(power @ self.weights)) * spec.cell / spec.points ** spec.dimension
+        return _total(power @ self.weights) * spec.cell / spec.points ** spec.dimension
+
+
+def _total(row_sums):
+    """The float total of a weighted sum `x @ weights`: the 0-d result of a
+    1-d grid as it is (np.sum of one value is that value), the row sums of a
+    2-d grid added by the same pairwise sum np.sum runs."""
+    return float(row_sums.sum() if row_sums.ndim else row_sums)
 
 
 @functools.lru_cache(maxsize=4)
@@ -245,7 +253,7 @@ def lp_norm(field, p):
 def _lp_of_magnitude(magnitude, p, cell):
     """The L^p Riemann sum (p >= 1 or np.inf) of a field from its |values|."""
     if p == np.inf:
-        return float(np.max(magnitude))
+        return float(magnitude.max())
     if p == 1:  # magnitude ** 1 is a copy of the same values, so the same sum
         return float(np.sum(magnitude) * cell)
     return float((np.sum(magnitude ** p) * cell) ** (1.0 / p))

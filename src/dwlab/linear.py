@@ -137,9 +137,15 @@ def _flow_multipliers(spec, dt):
 
 def _flow_hat(K, u_hat, v_hat):
     """The half-spectra of (u, u_t) advanced under the exact linear flow whose
-    multipliers over the step are K = (K0, K1, dK0, dK1)."""
+    multipliers over the step are K = (K0, K1, dK0, dK1): K0 u_hat + K1 v_hat
+    and dK0 u_hat + dK1 v_hat.  Each sum is formed in place in its first
+    product, and the two second products share one buffer, so the flow makes
+    three arrays and writes neither argument."""
     K0, K1, dK0, dK1 = K
-    return K0 * u_hat + K1 * v_hat, dK0 * u_hat + dK1 * v_hat
+    u_new, v_new, term = K0 * u_hat, dK0 * u_hat, K1 * v_hat
+    u_new += term
+    v_new += np.multiply(dK1, v_hat, out=term)
+    return u_new, v_new
 
 
 def propagate(state, dt):

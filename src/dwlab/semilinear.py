@@ -150,8 +150,9 @@ def step(state, h_u, dt, nonlinearity):
 
 def _finite_sup(values, time):
     """max|values|, or BlowupSignal(time) if it is not finite: a max is NaN
-    or inf exactly when its field holds a non-finite value."""
-    sup = float(np.max(np.abs(values)))
+    or inf exactly when its field holds a non-finite value.  The max is the
+    array's own method, which skips the np.max wrapper's dispatch."""
+    sup = float(np.abs(values).max())
     if not math.isfinite(sup):
         raise BlowupSignal(time)
     return sup
@@ -169,13 +170,17 @@ def _carried_step(half, carried, time, dt, nonlinearity):
     or if u is not.
     """
     u_hat, v_hat, h_hat = carried
-    u_hat, v_hat = _flow_hat(_flow_multipliers(half.spec, dt), u_hat, v_hat + 0.5 * dt * h_hat)
+    # the kick v_hat + (dt/2) h_hat, summed in place in the product (a sum is
+    # the same bits in either order); the buffer then holds the closing kick
+    kick = 0.5 * dt * h_hat
+    kick += v_hat
+    u_hat, v_hat = _flow_hat(_flow_multipliers(half.spec, dt), u_hat, kick)
     u = half.inverse(u_hat)
     h_u = nonlinearity.h_eval(u)
     if not np.isfinite(h_u).all():
         raise BlowupSignal(time)
     h_hat = half.forward(h_u)
-    v_hat += 0.5 * dt * h_hat
+    v_hat += np.multiply(0.5 * dt, h_hat, out=kick)
     return (u, h_u), (u_hat, v_hat, h_hat), _finite_sup(u, time)
 
 

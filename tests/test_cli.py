@@ -1,6 +1,9 @@
 """Tests for the command-line front end: configs, exit codes, artifacts."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -223,6 +226,22 @@ def test_help_still_exits_zero(capsys):
         main(["-h"])
     assert exc.value.code == 0
     assert "usage: dwlab" in capsys.readouterr().out
+
+
+def test_python_m_dwlab_runs_from_a_checkout(tmp_path):
+    # a fresh interpreter with only the source tree on its path, as in a checkout
+    env = {**os.environ, "PYTHONPATH": str(README.parent / "src")}
+
+    def module(*argv):
+        return subprocess.run([sys.executable, "-m", "dwlab", *argv], capture_output=True,
+                              text=True, env=env, cwd=tmp_path, timeout=120)
+
+    done = module("classify", "power:p=1")
+    assert done.returncode == 0, done.stderr
+    assert "integral verdict : Convergent" in done.stdout.splitlines()
+    bad = module("classify", "nosuch:p=1")
+    assert bad.returncode == 1 and bad.stdout == ""
+    assert len(bad.stderr.splitlines()) == 1 and bad.stderr.startswith("dwlab classify: ")
 
 
 def test_sweep_rejects_an_unparsable_value_before_any_job(tmp_path, capsys):

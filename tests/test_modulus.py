@@ -160,6 +160,62 @@ def test_h_eval_is_the_power_times_eval(tmp_path):
                 assert np.array_equal(out, want, equal_nan=True)
 
 
+def _count_blends(monkeypatch):
+    """Patch numpy.minimum and numpy.where, the clip and the blend of the
+    continuation, to count their calls."""
+    counts = {"minimum": 0, "where": 0}
+    for name in counts:
+        def counted(*args, _name=name, _original=getattr(np, name), **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(np, name, counted)
+    return counts
+
+
+def test_h_below_s_star_skips_the_continuation(monkeypatch, tmp_path):
+    # on a field wholly in [0, s*] mu is the raw formula on s itself: no clip
+    # to s* and no blend with the continuation
+    moduli = _entries() + [catalog_make("iterlog", p=1.0, depth=depth) for depth in (2, 3)]
+    counts = _count_blends(monkeypatch)
+    for mu in moduli + [_kinked(tmp_path)]:
+        s_star = min(mu.continuation_point, 1.0)
+        s = np.concatenate([[0.0, 5e-324, s_star, np.nextafter(s_star, 0.0)],
+                            np.geomspace(1e-300, s_star, 200)])
+        signed = s * np.where(np.arange(s.size) % 2, -1.0, 1.0)
+        counts.update(minimum=0, where=0)
+        kept = (s.copy(), signed.copy())
+        with np.errstate(divide="ignore"):  # the log families reach mu(0) = 0 through log(0)
+            raw = mu._raw(s)
+        for n in (1, 2):
+            out = Nonlinearity(mu, n).h_eval(signed)
+            assert np.array_equal(out, (s * s * s if n == 1 else s * s) * raw)
+        assert np.array_equal(mu.eval(s), raw)
+        assert counts == {"minimum": 0, "where": 0}, mu
+        # neither h_eval nor eval writes into its argument
+        assert np.array_equal(s, kept[0]) and np.array_equal(signed, kept[1])
+
+    # a NaN fails the test max(s) <= s*, so a NaN field with a point past s*
+    # takes the clip and the blend and still gets |s|^e mu.eval(|s|) bit for bit
+    for mu in [m for m in moduli if math.isfinite(m.continuation_point)] + [_kinked(tmp_path)]:
+        s_star = mu.continuation_point
+        s = np.array([0.0, -0.5 * s_star, np.nan, 3.0 * s_star, s_star, -np.nan])
+        kept = s.copy()
+        a = np.abs(s)
+        for n in (1, 2):
+            counts.update(minimum=0, where=0)
+            out = Nonlinearity(mu, n).h_eval(s)
+            assert counts == {"minimum": 1, "where": 1}, mu
+            want = modulus_module._power(a, 1.0 + 2.0 / n) * mu.eval(a)
+            assert np.array_equal(out, want, equal_nan=True)
+            assert np.isnan(out[[2, 5]]).all() and np.isfinite(np.delete(out, [2, 5])).all()
+        mu_out = mu.eval(a)
+        assert mu_out[3] == pytest.approx(mu.eval(s_star) + mu.deriv(s_star, 1) * 2.0 * s_star)
+        assert np.array_equal(s, kept, equal_nan=True)
+        # a NaN alone, with every other point below s*, keeps its NaN too
+        below = np.array([0.0, np.nan, 0.5 * s_star])
+        assert np.isnan(Nonlinearity(mu, 1).h_eval(below)[1])
+
+
 def _power_points():
     """Magnitudes whose fourth powers stay finite, both signs, subnormals, 0 and inf."""
     rng = np.random.default_rng(11)

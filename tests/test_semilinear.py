@@ -10,7 +10,7 @@ from dwlab import semilinear
 from dwlab.grid import (GridError, GridField, GridSpec, HalfSpectrum, WaveState, _sample_norms,
                         half_spectrum, hdot_norm, lp_norm)
 from dwlab.linear import propagate
-from dwlab.modulus import Nonlinearity, PowerForcing, catalog_make
+from dwlab.modulus import Nonlinearity, PowerForcing, catalog_make, parse_forcing_spec
 from dwlab.semilinear import (
     BlowupSignal,
     EvolveConfig,
@@ -231,16 +231,18 @@ def test_evolve_takes_two_transforms_per_attempt_and_u_t_when_undecided(monkeypa
     assert all(np.array_equal(blind.norms[key], traj.norms[key]) for key in traj.norms)
 
 
-def _evolve_by_the_exact_rule(config):
+def _evolve_by_the_exact_rule(config, kernel=None, sample_norms=_sample_norms):
     """`evolve` without the bound: u_t goes back to the grid on every attempt
-    and the growth rule reads the exact sizes, through the same kernel and h.
+    and the growth rule reads the exact sizes, through `kernel` (by default
+    the stepper's own) and h, with each sample's norms from `sample_norms`.
     Returns the trajectory's fields, the step counts and the smallest dt tried."""
+    kernel = kernel or semilinear._carried_step
     half = half_spectrum(config.grid)
     time, u, v = config.data.time, config.data.u.values, config.data.v.values
     carried = tuple(half.forward(f) for f in (u, v, config.nonlinearity.h_eval(u)))
     size = float(np.max(np.abs(u)) + np.max(np.abs(v)))
     dt, dt_tried, accepted, rejected = config.dt, config.dt, 0, 0
-    times, norms, u_samples = [time], [_sample_norms(half, u, carried[0])], [u.copy()]
+    times, norms, u_samples = [time], [sample_norms(half, u, carried[0])], [u.copy()]
     sample_dt = config.dt * config.sample_stride
     next_sample = time + sample_dt
     outcome, t_est = Outcome.COMPLETED, math.inf
@@ -248,8 +250,7 @@ def _evolve_by_the_exact_rule(config):
         dt_step = min(dt, config.t_max - time, next_sample - time)
         dt_tried = min(dt_tried, dt)
         try:
-            (u, _), candidate, sup_after = semilinear._carried_step(
-                half, carried, time, dt_step, config.nonlinearity)
+            (u, _), candidate, sup_after = kernel(half, carried, time, dt_step, config.nonlinearity)
             sup_v = float(np.max(np.abs(half.inverse(candidate[1]))))
             if not math.isfinite(sup_v):
                 raise BlowupSignal(time)
@@ -271,7 +272,7 @@ def _evolve_by_the_exact_rule(config):
             break
         if time >= next_sample - 1e-12 or time >= config.t_max - 1e-12:
             times.append(time)
-            norms.append(_sample_norms(half, u, carried[0]))
+            norms.append(sample_norms(half, u, carried[0]))
             u_samples.append(u.copy())
             while next_sample <= time + 1e-12:
                 next_sample += sample_dt
@@ -308,6 +309,76 @@ def test_evolve_makes_the_exact_rule_s_decisions_bit_for_bit(monkeypatch, forcin
         assert exact <= attempts // 20
     else:  # near blow-up the bound cannot decide, and the exact sizes do
         assert exact > 0
+
+
+def _frozen_h(nonlinearity, u):
+    """h(u) as plain expressions: |u|^q by pow for the oracle, else |u|^e by
+    products (e = 1 + 2/n is 3 or 2) times mu.eval(|u|)."""
+    a = np.abs(u)
+    if isinstance(nonlinearity, PowerForcing):
+        return a ** nonlinearity.exponent
+    return (a * a * a if nonlinearity.dimension == 1 else a * a) * nonlinearity.modulus.eval(a)
+
+
+def _frozen_kernel(half, carried, time, dt, nonlinearity):
+    """One Strang step as plain expressions, for `_evolve_by_the_exact_rule`:
+    the opening kick, the flow K0 u + K1 w and dK0 u + dK1 w, u back to the
+    grid, h(u) there and forward, and the closing kick."""
+    u_hat, v_hat, h_hat = carried
+    K0, K1, dK0, dK1 = semilinear._flow_multipliers(half.spec, dt)
+    w_hat = v_hat + 0.5 * dt * h_hat
+    u_hat, v_hat = K0 * u_hat + K1 * w_hat, dK0 * u_hat + dK1 * w_hat
+    u = half.inverse(u_hat)
+    h_u = _frozen_h(nonlinearity, u)
+    if not np.all(np.isfinite(h_u)):
+        raise BlowupSignal(time)
+    h_hat = half.forward(h_u)
+    v_hat = v_hat + 0.5 * dt * h_hat
+    sup = float(np.max(np.abs(u)))
+    if not math.isfinite(sup):
+        raise BlowupSignal(time)
+    return (u, h_u), (u_hat, v_hat, h_hat), sup
+
+
+def _frozen_norms(half, u, u_hat):
+    """A sample's norms as plain expressions: Riemann sums of |u| and the
+    Parseval sum of |xi|^2 |u_hat|^2 with the half-spectrum's column weights."""
+    spec, magnitude = half.spec, np.abs(u)
+    power = (u_hat.real ** 2 + u_hat.imag ** 2) * half.xi_sq
+    h1_sq = float(np.sum(power @ half.weights)) * spec.cell / spec.points ** spec.dimension
+    return {"L1": float(np.sum(magnitude) * spec.cell),
+            "L2": float((np.sum(magnitude ** 2.0) * spec.cell) ** (1.0 / 2.0)),
+            "Linf": float(np.max(magnitude)), "H1dot": math.sqrt(h1_sq)}
+
+
+@pytest.mark.parametrize("dimension, forcing, amplitude, t_max, rejects", [
+    (1, "invlog:p=2", 1.0, 10.0, False),
+    (1, "power:p=1", 1.0, 10.0, False),
+    (1, "oracle:q=1.5", 8.0, 10.0, False),
+    (1, "invlog:p=2", 8.0, 50.0, True),
+    (2, "invlog:p=2", 1.0, 5.0, False),
+    (2, "power:p=1", 1.0, 5.0, False),
+    (2, "oracle:q=1.5", 8.0, 5.0, False),
+])
+def test_evolve_is_the_frozen_kernel_bit_for_bit(dimension, forcing, amplitude, t_max, rejects):
+    # the kernel's arithmetic pinned against plain expressions of the same
+    # scheme: every u sample and norm of evolve, and its step decisions
+    spec = _spec() if dimension == 1 else GridSpec(2, 16.0, 64)
+    dt = 0.01 if dimension == 1 else 0.05
+    cfg = EvolveConfig(grid=spec, nonlinearity=parse_forcing_spec(forcing, dimension),
+                       data=make_data(spec, amplitude=amplitude, width=2.0), dt=dt, t_max=t_max,
+                       sample_stride=25)
+    (times, norms, outcome, t_est, u_samples), stats = _evolve_by_the_exact_rule(
+        cfg, kernel=_frozen_kernel, sample_norms=_frozen_norms)
+    traj = evolve(cfg)
+    assert (traj.outcome, traj.t_est) == (outcome, t_est)
+    assert np.array_equal(traj.times, times)
+    assert traj.norms.keys() == norms.keys()
+    assert all(np.array_equal(traj.norms[key], norms[key]) for key in norms)
+    assert len(traj.u_samples) == len(u_samples) > 1
+    assert all(np.array_equal(a, b) for a, b in zip(traj.u_samples, u_samples))
+    assert (traj.steps_accepted, traj.steps_rejected, traj.dt_min) == stats
+    assert (traj.steps_rejected > 0) == rejects
 
 
 def test_a_non_finite_u_t_spectrum_ends_in_blowup():
