@@ -9,7 +9,7 @@ Subcommands
 classify     check a modulus against the integral test and its analytic label
 linear       linear decay experiment with CSV + decay fits
 run          one semilinear evolution
-sweep        parallel sweep over amplitudes and/or moduli
+sweep        sweep over amplitudes and/or moduli in a process pool
 certificate  test-function functionals and the blow-up certificate
 
 Config files are plain ``key = value`` lines (# comments allowed).  `main`
@@ -182,13 +182,13 @@ def cmd_classify(args, cfg):
     print(f"slow variation   : {ratios}")
     print(f"convexity min    : {convexity_min:.6g}")
     print(f"integral verdict : {dini.dini_verdict.value}")
-    print(f"analytic label   : {dini.analytic_label.value}")
+    print(f"analytic label   : {modulus.analytic_dini_label.value}")
     if dini.total_estimate is not None:
         print(f"total estimate   : {dini.total_estimate:.6g}")
         print(f"tail share       : {1.0 - dini.dini_partial_sums.sum() / dini.total_estimate:.3g}")
     if dini.dini_verdict is Verdict.INCONCLUSIVE:
         return EXIT_INCONCLUSIVE
-    if dini.dini_verdict is not dini.analytic_label:
+    if dini.dini_verdict is not modulus.analytic_dini_label:
         print("MISMATCH between quadrature verdict and analytic label",
               file=sys.stderr)
         return EXIT_MISMATCH
@@ -295,12 +295,8 @@ def cmd_sweep(args, cfg):
     run_keys = {key: cfg[key] for key in _CONFIG_KEYS["run"]}
     jobs = [{**run_keys, "modulus": m, "amplitude": eps} for m in moduli for eps in epsilons]
     # a pool forks all its workers at once, so it gets no more than there are jobs
-    workers = min(args.workers, len(jobs))
-    if workers == 1:
-        results = [_sweep_worker(job) for job in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_worker, jobs))
+    with ProcessPoolExecutor(max_workers=min(args.workers, len(jobs))) as pool:
+        results = list(pool.map(_sweep_worker, jobs))
     out = _run_dir(args, "sweep", cfg)
     print(f"{'modulus':28s} {'amplitude':>10s} {'outcome':>16s} {'t_est':>10s}")
     for res in results:
@@ -391,7 +387,3 @@ def main(argv=None):
     except (OSError, ValueError) as exc:
         print(f"dwlab{f' {args.command}' if args.command else ''}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-
-if __name__ == "__main__":
-    sys.exit(main())

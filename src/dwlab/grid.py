@@ -31,7 +31,6 @@ __all__ = [
     "lp_norm",
     "spectral_gradient",
     "sobolev_norm",
-    "hdot_norm",
     "gn_check",
 ]
 
@@ -212,14 +211,13 @@ class HalfSpectrum:
         spec = self.spec
         return _total(np.abs(coeffs) @ self.weights) / spec.points ** spec.dimension * (1.0 + 1e-10)
 
-    def parseval(self, coeffs, weight=1.0):
+    def parseval(self, coeffs, weight):
         """Full-spectrum sum of |coeffs|^2 * weight, scaled so that weight 1
         gives the squared L2 norm (cell weights dx^n) of the field.  The column
         weights enter by one matrix product, whose rows a 2-d grid adds up."""
         power = coeffs.real ** 2
         power += coeffs.imag ** 2
-        if np.ndim(weight) or weight != 1.0:  # x * 1.0 is x
-            power *= weight
+        power *= weight
         spec = self.spec
         return _total(power @ self.weights) * spec.cell / spec.points ** spec.dimension
 
@@ -287,12 +285,6 @@ def spectral_gradient(field):
     u_hat = half.forward(field.values)
     return tuple(GridField(field.spec, half.inverse(1j * k * u_hat))
                  for k in half.gradient_wavenumbers)
-
-
-def hdot_norm(field, k=1):
-    """Homogeneous Sobolev seminorm |u|_{H^k} via |xi|^k weights."""
-    half = half_spectrum(field.spec)
-    return math.sqrt(half.parseval(half.forward(field.values), half.xi_sq ** k))
 
 
 def sobolev_norm(field, k):

@@ -394,13 +394,16 @@ def parse_modulus_spec(text):
 
 
 def _spec_params(text, rest, form, allowed, required=()):
-    """The ``key=number`` pairs after the kind of a spec string, as floats."""
+    """The ``key=number`` pairs after the kind of a spec string, as floats;
+    a key given twice is an error."""
     error = ModulusError(f"bad spec {text!r}: expected {form}")
     params = {}
     for item in filter(None, (piece.strip() for piece in rest.split(","))):
         key, _, value = (part.strip() for part in item.partition("="))
         if key not in allowed:
             raise error
+        if key in params:
+            raise ModulusError(f"bad spec {text!r}: key {key!r} is given twice")
         try:
             params[key] = float(value)
         except ValueError:
@@ -503,7 +506,7 @@ _WG = np.array([
     0.295524224714752870173892994651338])
 
 
-def shell_integrals(f, edges, epsabs, epsrel, breaks=()):
+def shell_integrals(f, edges, epsabs, epsrel, breaks):
     """int f over every panel [edges[i], edges[i+1]], as quad(points=breaks) gives it.
 
     Each panel is split at the breaks inside it (QUADPACK's dqagpe), f is
@@ -592,14 +595,14 @@ def _dini_tail(modulus, w):
 
 @dataclass(frozen=True)
 class DiniResult:
-    """The Dini classifier's verdict, the analytic label, the dyadic shell
-    integrals and, for a convergent verdict, the whole integral: the shell
-    sum plus the closed-form tail past the last shell (None if it diverges)."""
+    """The Dini classifier's verdict, the dyadic shell integrals and, for a
+    convergent verdict, the whole integral: the shell sum plus the closed-form
+    tail past the last shell (None if it diverges).  The analytic label to
+    compare the verdict with is the modulus's own `analytic_dini_label`."""
 
     dini_verdict: Verdict
-    analytic_label: Verdict
     dini_partial_sums: np.ndarray = field(repr=False)
-    total_estimate: float | None = None
+    total_estimate: float | None
 
 
 def classify_dini(modulus):
@@ -620,7 +623,7 @@ def classify_dini(modulus):
     shells = len(S)
 
     def result(verdict, total=None):
-        return DiniResult(verdict, modulus.analytic_dini_label, S, total)
+        return DiniResult(verdict, S, total)
 
     if modulus.continuation_point < _DINI_BASE * 2.0 ** -shells:
         # the deepest shell still lies in the linear continuation, so no

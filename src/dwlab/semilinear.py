@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -110,22 +110,17 @@ class Trajectory:
     norms: dict
     outcome: str
     t_est: float
-    u_samples: list = field(default_factory=list)
+    u_samples: list
     # step statistics: accepted steps, attempts the growth rule rejected, and
-    # the smallest step the rule set (clipping to sample times and the horizon
-    # aside); a trajectory not made by `evolve` took no step
-    steps_accepted: int = 0
-    steps_rejected: int = 0
-    dt_min: float = math.inf
-
-    @property
-    def xnorm_running(self):
-        """The running maximum of `xnorm_weight` over the samples."""
-        return np.maximum.accumulate(xnorm_weight(self.times, self.spec.dimension, self.norms))
+    # the smallest step the rule set (clipping to sample times and the horizon aside)
+    steps_accepted: int
+    steps_rejected: int
+    dt_min: float
 
     @property
     def xnorm(self):
-        return float(self.xnorm_running[-1])
+        """The maximum of `xnorm_weight` over the samples (NaN if one is NaN)."""
+        return float(np.max(xnorm_weight(self.times, self.spec.dimension, self.norms)))
 
 
 def step(state, h_u, dt, nonlinearity):
@@ -205,9 +200,14 @@ def evolve(config):
     as StepCollapse with the last reliable time.  The sup norm here is
     size = max|u| + max|u_t|; max|u_t| is bounded from its spectrum and
     measured only when the bound cannot decide (see the module docstring).
+    Data holding a non-finite value, or whose h(u) is not finite, raise
+    ValueError: they are a bad input, not a blow-up time.
     """
+    data = config.data
+    if not (data.u.is_finite() and data.v.is_finite()):
+        raise ValueError("cannot propagate a non-finite state")
     half = half_spectrum(config.grid)
-    time, u, v = config.data.time, config.data.u.values, config.data.v.values
+    time, u, v = data.time, data.u.values, data.v.values
     h_u = config.nonlinearity.h_eval(u)
     if not np.isfinite(h_u).all():
         raise ValueError("the forcing h(u) of the initial data is not finite")
@@ -293,7 +293,7 @@ def _duhamel_u(half, lags, h_hat_list, dt_loc, i):
     return half.inverse(acc)
 
 
-def picard_verify(config, window_T=1.0, iterations=4):
+def picard_verify(config, window_T, iterations):
     """Successive-approximation check of the Duhamel fixed point.
 
     Builds u^0 = linear flow, u^{k+1} = u^lin + int Phi * h(u^k) on a
@@ -343,8 +343,6 @@ def picard_verify(config, window_T=1.0, iterations=4):
     split = evolve(replace(config, t_max=window_T, sample_stride=m, keep_fields=True))
     mismatch = float(np.max(np.abs(current[-1] - split.u_samples[-1])))
     return {
-        "increments": increments,
-        "contraction_factors": factors,
         "contraction_factor": max(factors) if factors else 0.0,
         "mismatch_linf": mismatch,
         "first_correction": increments[0],

@@ -289,24 +289,15 @@ def jensen_check(phi, values, weights):
 class CertificateReport:
     """Outcome of driving the averaged chain to its contradiction: the
     running integral where the scan stopped, the radius where it crossed the
-    budget (inf if it never did), and a `verdict` of "witness-observed",
-    "witness-beyond-range", "bounded-no-witness" or "inconclusive" from which
-    the two flags follow."""
+    budget (inf if it never did), and a `verdict`: "witness-observed" (the
+    crossing lies within the scanned range), "witness-beyond-range" (it lies
+    past it, as the Dini integral diverges), "bounded-no-witness" or
+    "inconclusive"."""
 
     budget: float
     lhs_final: float
     crossing_r: float
     verdict: str
-
-    @property
-    def certified(self):
-        """Whether the crossing was observed within the scanned range."""
-        return self.verdict == "witness-observed"
-
-    @property
-    def witness_in_principle(self):
-        """Whether a crossing radius exists, observed or beyond the range."""
-        return self.verdict in ("witness-observed", "witness-beyond-range")
 
 
 def blowup_certificate(modulus, dimension, y_r0, constant, r0, r_max=1e300):

@@ -126,8 +126,8 @@ def test_criterion_3_classifier_catalog(capsys):
         report = classify_dini(mu)
         if report.dini_verdict.value != label:
             failures.append(f"{kind} p={p}: {report.dini_verdict.value} vs {label}")
-        if report.analytic_label is not None \
-                and report.analytic_label is not report.dini_verdict:
+        if mu.analytic_dini_label is not None \
+                and mu.analytic_dini_label is not report.dini_verdict:
             failures.append(f"{kind} p={p}: quadrature disagrees with label")
     elapsed = time.perf_counter() - t0
     if elapsed > 10.0:

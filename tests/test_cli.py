@@ -138,6 +138,13 @@ _USER_ERRORS = [
     for command, key, value in (("run", "sample_stride", "1.5"), ("linear", "N", "1e3"),
                                 ("certificate", "R", "abc"))
 ] + [
+    # a spec key given twice is named, not decided by its last value
+    pytest.param(command, {"modulus": spec}, f"'{key}' is given twice", id=f"{spec}-{command}")
+    for command, spec, key in (("classify", "invlog:p=0.5,p=2", "p"),
+                               ("run", "invlog:p=0.5,p=2", "p"),
+                               ("run", "oracle:q=1.5,q=2", "q"),
+                               ("certificate", "oracle:q=1.5,q=2", "q"))
+] + [
     # an iterlog depth outside 1..3 is named, not an overflow or a numpy warning
     pytest.param("classify", {"modulus": spec}, "depth", id=spec)
     for spec in ("iterlog:p=1,depth=inf", "iterlog:p=1,depth=nan", "iterlog:p=1,depth=5",
@@ -465,7 +472,7 @@ def test_sweep_runs_grid_of_jobs(tmp_path, capsys):
 def test_sweep_worker_count_does_not_change_results(tmp_path, capsys):
     cfg = _sweep_config(tmp_path, "sweep.cfg")
     manifests = []
-    for workers, sub in ((1, "serial"), (2, "pool")):
+    for workers, sub in ((1, "one"), (2, "two")):
         out = tmp_path / sub
         assert main(["sweep", "--config", cfg, "--out", str(out),
                      "--workers", str(workers)]) == 0
@@ -482,9 +489,10 @@ def test_sweep_worker_count_does_not_change_results(tmp_path, capsys):
         assert strip(manifests[0][key]) == strip(manifests[1][key])
 
 
-def test_sweep_pool_is_capped_at_the_job_count(tmp_path, capsys, monkeypatch):
-    # a pool forks all its workers at once: record the size asked for and
-    # map in this process instead of starting one
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The pool sizes the sweep asks for; a pool forks all its workers at
+    once, so each pool maps in this process instead of starting one."""
     sizes = []
 
     class InlineExecutor:
@@ -501,12 +509,26 @@ def test_sweep_pool_is_capped_at_the_job_count(tmp_path, capsys, monkeypatch):
             return map(fn, jobs)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", InlineExecutor)
+    return sizes
+
+
+def _two_job_sweep(tmp_path, capsys, workers):
     cfg = _write_config(tmp_path, "sweep.cfg", dimension=1, L=64.0, N=512, t_max=1.0,
                         width=2.0, modulus="oracle:q=1.5", epsilons="0.2 0.5")
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out"),
-                 "--workers", "64"]) == 0
+                 "--workers", workers]) == 0
     assert "oracle:q=1.5" in capsys.readouterr().out
-    assert sizes == [2]
+
+
+def test_sweep_pool_is_capped_at_the_job_count(tmp_path, capsys, pool_sizes):
+    _two_job_sweep(tmp_path, capsys, "64")
+    assert pool_sizes == [2]
+
+
+def test_sweep_with_one_worker_runs_in_the_pool(tmp_path, capsys, pool_sizes):
+    # one worker is a pool of one, not a second in-process path
+    _two_job_sweep(tmp_path, capsys, "1")
+    assert pool_sizes == [1]
 
 
 def test_sweep_isolates_failing_jobs(tmp_path, capsys):

@@ -106,7 +106,6 @@ def test_every_modulus_carries_an_analytic_label(tmp_path):
     with pytest.raises(TypeError, match="analytic_dini_label"):
         Modulus(Kind.POWER, {"p": 1.0}, continuation_point=math.inf)
     for mu in _entries() + [_kinked(tmp_path)]:
-        assert classify_dini(mu).analytic_label is mu.analytic_dini_label
         assert isinstance(mu.analytic_dini_label, Verdict)
 
 
@@ -603,7 +602,7 @@ def _vee(x, c=1.0 / 3.0):
 
 def test_shell_integrals_raises_on_a_refused_piece():
     with pytest.raises(ModulusError, match=r"refused the piece \[0, 1\]"):
-        shell_integrals(_vee, [0.0, 1.0], epsabs=1e-10, epsrel=1e-10)
+        shell_integrals(_vee, [0.0, 1.0], epsabs=1e-10, epsrel=1e-10, breaks=())
 
 
 def test_shell_integrals_splits_a_panel_at_its_break():
@@ -614,7 +613,7 @@ def test_shell_integrals_splits_a_panel_at_its_break():
 
 def test_shell_integrals_ignores_breaks_on_edges_and_outside():
     edges = np.linspace(0.5, 3.0, 6)
-    plain = shell_integrals(np.exp, edges, epsabs=1e-10, epsrel=1e-10)
+    plain = shell_integrals(np.exp, edges, epsabs=1e-10, epsrel=1e-10, breaks=())
     for breaks in ([1.0, 2.5], [-1.0, 3.0, 7.0], [-np.inf, np.inf], edges):
         out = shell_integrals(np.exp, edges, epsabs=1e-10, epsrel=1e-10, breaks=breaks)
         assert np.array_equal(out, plain)
@@ -726,6 +725,12 @@ def test_parse_rejects_bad_parameters():
         with pytest.raises(ModulusError, match=f"p={p} "):
             parse_modulus_spec(spec)
     assert parse_modulus_spec("invlog:p=142").continuation_point > 0.0
+    # a key given twice is named, not decided by its last value (invlog
+    # p = 0.5 diverges, p = 2 converges)
+    for key, spec in (("p", "invlog:p=0.5,p=2"), ("depth", "iterlog:p=2,depth=1,depth=2"),
+                      ("q", "oracle:q=1.5,q=2")):
+        with pytest.raises(ModulusError, match=f"key '{key}' is given twice"):
+            parse_forcing_spec(spec, 1)
     # exp^(depth)(1/2) must stay inside the concavity scan, so depth is 1, 2 or 3
     for depth in ("4", "5", "1e30", "inf", "nan"):
         with pytest.raises(ModulusError, match="depth"):

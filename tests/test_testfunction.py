@@ -141,7 +141,7 @@ def _constant_trajectory(spec, value, t_end, samples):
     fields = [np.full(spec.shape, value) for _ in times]
     return Trajectory(spec=spec, times=times, norms={},
                       outcome="CompletedHorizon", t_est=math.inf,
-                      u_samples=fields)
+                      u_samples=fields, steps_accepted=0, steps_rejected=0, dt_min=math.inf)
 
 
 def _real_trajectory(amplitude=2.0, t_max=64.0):
@@ -325,7 +325,7 @@ def _edge_trajectory(outside):
     fields = [np.where(x * x < 9.0, 0.3 + 0.02 * x + 0.01 * t, outside) for t in times]
     return Trajectory(spec=spec, times=times, norms={},
                       outcome="CompletedHorizon", t_est=math.inf,
-                      u_samples=fields)
+                      u_samples=fields, steps_accepted=0, steps_rejected=0, dt_min=math.inf)
 
 
 def test_support_slices_keep_both_edges():
@@ -425,7 +425,7 @@ def test_certificate_convergent_class_bounded():
     constant = weight_bound_constant(1, 16.0)
     report = blowup_certificate(mu, 1, y_r0=0.02, constant=constant, r0=16.0)
     assert report.verdict == "bounded-no-witness"
-    assert not report.witness_in_principle
+    assert report.verdict not in ("witness-observed", "witness-beyond-range")
     assert report.lhs_final < report.budget
 
 
@@ -433,7 +433,7 @@ def test_certificate_divergent_class_reports_witness():
     mu = catalog_make("invlog", p=1.0)
     constant = weight_bound_constant(1, 16.0)
     report = blowup_certificate(mu, 1, y_r0=0.02, constant=constant, r0=16.0)
-    assert report.witness_in_principle
+    assert report.verdict in ("witness-observed", "witness-beyond-range")
     # the left side keeps growing with the scan range
     shorter = blowup_certificate(mu, 1, y_r0=0.02, constant=constant, r0=16.0,
                                  r_max=1e30)
@@ -452,7 +452,6 @@ def test_certificate_crossing_when_budget_is_tiny():
     # divergent integral crosses it within the scanned range
     mu = catalog_make("invlog", p=1.0)
     report = blowup_certificate(mu, 1, y_r0=5.0, constant=2.0, r0=16.0)
-    assert report.certified
     assert math.isfinite(report.crossing_r)
     assert report.verdict == "witness-observed"
 
@@ -470,9 +469,11 @@ def test_certificate_flags_follow_the_verdict(kind, params, y_r0, constant, verd
     constant = constant or weight_bound_constant(1, 16.0)
     report = blowup_certificate(mu, 1, y_r0=y_r0, constant=constant, r0=16.0)
     assert report.verdict == verdict
-    assert report.certified is certified
-    assert report.witness_in_principle is witness
-    assert report.certified == math.isfinite(report.crossing_r)
+    # certified: the crossing was observed within the scanned range
+    assert (report.verdict == "witness-observed") is certified
+    # witness: a crossing radius exists, observed or beyond the range
+    assert (report.verdict in ("witness-observed", "witness-beyond-range")) is witness
+    assert certified == math.isfinite(report.crossing_r)
 
 
 def _certificate_by_loop(mu, n, ln_c2, budget, r0, r_max):
@@ -515,7 +516,7 @@ def test_certificate_matches_scalar_shell_loop(kind, p, y_r0, constant, r_max, v
     ln_c2 = math.log(y_r0) - math.log(constant ** 2 * math.log(2.0))
     lhs, crossing = _certificate_by_loop(mu, 1, ln_c2, report.budget, 16.0, r_max)
     assert report.verdict == verdict
-    assert report.certified == math.isfinite(crossing)
+    assert (report.verdict == "witness-observed") == math.isfinite(crossing)
     assert report.crossing_r == crossing
     assert report.lhs_final == pytest.approx(lhs, rel=1e-13, abs=0.0)
 
