@@ -78,18 +78,20 @@ def _str_list(text):
 
 
 _CAST_NAMES = {int: "an integer", float: "a number", _float_list: "a list of numbers"}
-_REQUIRED = object()  # a key with this default must be set; one with None may be left out
+_REQUIRED = object()  # a key with this default must be set
 _DATA_KEYS = {"dimension": (int, 1), "L": (float, _REQUIRED), "N": (int, _REQUIRED),
               "width": (float, 1.0), "center": (float, 0.0), "shape": (str, "gaussian"),
               "amplitude": (float, 1.0)}
 _RUN_KEYS = {**_DATA_KEYS, "modulus": (str, _REQUIRED), "dt": (float, 0.05),
              "t_max": (float, 100.0), "sample_stride": (int, 20)}
 _CONFIG_KEYS = {  # the keys each subcommand reads: key -> (type, default)
-    "classify": {"modulus": (str, None), "dimension": (int, 1)},
+    "classify": {"dimension": (int, 1)},  # the modulus spec is the positional argument
     "linear": {**_DATA_KEYS, "t_max": (float, 2000.0)},
     "run": _RUN_KEYS,
-    "sweep": {**_RUN_KEYS, "modulus": (str, None), "moduli": (_str_list, None),
-              "epsilons": (_float_list, None)},
+    # a sweep's jobs take their modulus and amplitude from its two lists
+    "sweep": {**{key: spec for key, spec in _RUN_KEYS.items()
+                 if key not in ("modulus", "amplitude")},
+              "moduli": (_str_list, _REQUIRED), "epsilons": (_float_list, _REQUIRED)},
     "certificate": {**_DATA_KEYS, "modulus": (str, _REQUIRED), "dt": (float, 0.05),
                     "sample_stride": (int, 5), "R": (float, 64.0), "r0": (float, 16.0)},
 }
@@ -151,7 +153,7 @@ def _setup(cfg, horizon_key, horizon_min):
     if not horizon_min < horizon < math.inf:
         raise ValueError(f"{horizon_key} must be finite and exceed {horizon_min:g}, got {horizon}")
     data = make_data(spec, shape=cfg["shape"], amplitude=cfg["amplitude"], width=cfg["width"],
-                     center=cfg["center"], component="psi")
+                     center=cfg["center"])
     # Gaussian tails are below 1e-7 of the peak beyond 4 widths
     check_torus_size(spec, horizon, abs(cfg["center"]) + 4.0 * cfg["width"])
     return spec, horizon, data
@@ -170,9 +172,9 @@ def _evolve(cfg, spec, data, t_max, keep_fields):
 
 
 def cmd_classify(args, cfg):
-    spec_text = cfg["modulus"] or (args.rest[0] if args.rest else None)
-    if not spec_text:
-        raise ValueError("need a modulus spec (positional or config key 'modulus')")
+    if not args.rest:
+        raise ValueError("need a modulus spec as the positional argument")
+    spec_text = args.rest[0]
     modulus = parse_modulus_spec(spec_text)
     dini = classify_dini(modulus)
     slow = check_slow_variation(modulus)
@@ -281,19 +283,16 @@ def _sweep_worker(cfg):
 
 
 def cmd_sweep(args, cfg):
-    moduli = cfg["moduli"] or ([cfg["modulus"]] if cfg["modulus"] else [])
+    moduli, epsilons = cfg["moduli"], cfg["epsilons"]
     if not moduli:
-        raise ValueError("empty sweep list: set 'moduli' or 'modulus'")
-    epsilons = cfg["epsilons"]
-    if epsilons is None:
-        epsilons = [cfg["amplitude"]]
-    elif not (epsilons and all(0 < e < math.inf for e in epsilons)
-              and all(a < b for a, b in zip(epsilons, epsilons[1:]))):
+        raise ValueError("empty sweep list: 'moduli' holds no spec")
+    if not (epsilons and all(0 < e < math.inf for e in epsilons)
+            and all(a < b for a, b in zip(epsilons, epsilons[1:]))):
         raise ValueError(f"epsilons must be positive, finite and strictly increasing, "
                          f"got {epsilons}")
     # each job is the run config its own `dwlab run` would resolve to
-    run_keys = {key: cfg[key] for key in _CONFIG_KEYS["run"]}
-    jobs = [{**run_keys, "modulus": m, "amplitude": eps} for m in moduli for eps in epsilons]
+    shared = {key: cfg[key] for key in _CONFIG_KEYS["run"] if key in cfg}
+    jobs = [{**shared, "modulus": m, "amplitude": eps} for m in moduli for eps in epsilons]
     # a pool forks all its workers at once, so it gets no more than there are jobs
     with ProcessPoolExecutor(max_workers=min(args.workers, len(jobs))) as pool:
         results = list(pool.map(_sweep_worker, jobs))

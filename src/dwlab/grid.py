@@ -241,7 +241,7 @@ def lp_norm(field, p):
     A non-finite value is reported by its index.  It makes the reduction
     non-finite, so the values are scanned only then; finite values whose
     power overflows give inf."""
-    if p < 1:
+    if not p >= 1:  # NaN fails every comparison
         raise GridError(f"p must be >= 1, got {p}")
     norm = _lp_of_magnitude(np.abs(field.values), p, field.spec.cell)
     _name_non_finite(norm, field.values)

@@ -71,19 +71,16 @@ class ModulusError(ValueError):
 
 
 def _power(a, e):
-    """a ** e, with the exponents 1, 2, 3 and 4 taken as repeated products.
+    """a ** e, with the exponents 2, 3 and 4 taken as repeated products.
 
     A product costs a fraction of numpy's `pow` loop (5-8 against 12-22 us
-    on 4,096 values).  Exponents 1 and 2 give the bits of numpy's own fast
-    paths; 3 and 4 stay within 2 ulp of `**`, and scalars and arrays give
-    the same bits.  Exponent 1 returns `a` itself; otherwise the products
-    after the first go in place into the array the first one made, never
-    into `a`.  Other exponents go through `**`.
+    on 4,096 values).  Exponent 2 gives the bits of numpy's own fast path;
+    3 and 4 stay within 2 ulp of `**`, and scalars and arrays give the same
+    bits.  The products after the first go in place into the array the
+    first one made, never into `a`.  Other exponents go through `**`.
     """
-    if e not in (1.0, 2.0, 3.0, 4.0):
+    if e not in (2.0, 3.0, 4.0):
         return a ** e
-    if e == 1.0:
-        return a
     out = a * a
     for _ in range(int(e) - 2):
         out *= a
@@ -237,9 +234,6 @@ class Modulus:
             raise ModulusError("modulus argument must be non-negative")
         out = self._eval_nonneg(s)
         return out[0] if scalar else out
-
-    def __call__(self, s):
-        return self.eval(s)
 
     def deriv(self, s, k):
         """Analytic k-th derivative, k in {1, 2}; only defined for s > 0."""

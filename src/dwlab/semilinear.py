@@ -22,12 +22,11 @@ is accepted at once; only otherwise does v_hat go back to the grid (and
 the old v_hat, if its size was not measured) for the exact sizes.  The
 cheap accept implies the exact one, so every decision is the one the exact
 sizes give.  A sample takes its norms from u and the carried u_hat, with no
-transform.  `step` is the public one-step wrapper on a `WaveState`: it
-forward-transforms u, u_t and h(u), runs `evolve`'s kernel once and takes
-u_t back itself, six transforms a step.  The kernel drifts through
-`dwlab.linear._flow_hat` with the cached multipliers of its (grid, dt), and
-it raises `BlowupSignal` for a non-finite h(u) or u; a non-finite u_t is
-found where u_t is taken back.  Blow-up is detected
+transform.  `evolve` is the one entry to the scheme.  Its kernel drifts
+through `dwlab.linear._flow_hat` with the cached multipliers of its
+(grid, dt), and it signals a non-finite h(u) or u, which `evolve` reports
+as a blow-up at the attempt's start; a non-finite u_t is found where u_t
+is taken back.  Blow-up is detected
 operationally: |u| above `BLOWUP_THRESHOLD`, non-finite values, or the step
 halving below `DT_MIN`.  True nonexistence is asymptotic and the detected
 time is an upper proxy for the lifespan, not a sharp estimate.
@@ -52,8 +51,6 @@ __all__ = [
     "EvolveConfig",
     "Trajectory",
     "Outcome",
-    "BlowupSignal",
-    "step",
     "evolve",
     "xnorm_weight",
     "picard_verify",
@@ -62,8 +59,8 @@ __all__ = [
 ]
 
 
-class BlowupSignal(RuntimeError):
-    """Raised internally when a step produces non-finite values."""
+class _BlowupSignal(RuntimeError):
+    """Raised inside `evolve` when a step produces non-finite values."""
 
     def __init__(self, time):
         super().__init__(f"non-finite values at t={time}")
@@ -99,6 +96,11 @@ class EvolveConfig:
             raise ValueError(f"sample_stride must be a positive integer, got {stride}")
         if self.data.spec != self.grid:
             raise ValueError("data grid does not match configured grid")
+        # a Nonlinearity's exponent 1 + 2/n belongs to one dimension; a PowerForcing has none
+        dimension = getattr(self.nonlinearity, "dimension", self.grid.dimension)
+        if dimension != self.grid.dimension:
+            raise ValueError(f"the forcing is built for dimension {dimension}, "
+                             f"the grid has dimension {self.grid.dimension}")
 
 
 @dataclass
@@ -123,33 +125,13 @@ class Trajectory:
         return float(np.max(xnorm_weight(self.times, self.spec.dimension, self.norms)))
 
 
-def step(state, h_u, dt, nonlinearity):
-    """One Strang split step from `state`, whose forcing h(u) is `h_u`.
-
-    Returns (new_state, h(new u)).  The caller passes the second back as
-    the next step's `h_u` (first same as last), so a run evaluates h once
-    per accepted step.  The step is `evolve`'s own kernel on the spectra
-    of (u, u_t, h_u), and raises BlowupSignal as it does; it takes u_t back
-    itself and raises BlowupSignal too if u_t is not finite.
-    """
-    if not 0 < dt < math.inf:
-        raise ValueError(f"dt must be positive and finite, got {dt}")
-    spec = state.spec
-    half = half_spectrum(spec)
-    carried = tuple(half.forward(f) for f in (state.u.values, state.v.values, h_u))
-    (u, h_new), (_, v_hat, _), _ = _carried_step(half, carried, state.time, dt, nonlinearity)
-    v = half.inverse(v_hat)
-    _finite_sup(v, state.time)
-    return WaveState(state.time + dt, GridField(spec, u), GridField(spec, v)), h_new
-
-
 def _finite_sup(values, time):
-    """max|values|, or BlowupSignal(time) if it is not finite: a max is NaN
+    """max|values|, or _BlowupSignal(time) if it is not finite: a max is NaN
     or inf exactly when its field holds a non-finite value.  The max is the
     array's own method, which skips the np.max wrapper's dispatch."""
     sup = float(np.abs(values).max())
     if not math.isfinite(sup):
-        raise BlowupSignal(time)
+        raise _BlowupSignal(time)
     return sup
 
 
@@ -160,7 +142,7 @@ def _carried_step(half, carried, time, dt, nonlinearity):
     Returns the new arrays (u, h(u)), the new state's carried triple and
     max|u|; u_t stays a spectrum, which the caller takes back only if it
     needs it.  The triple passed in is left as it was, so a rejected
-    attempt retries from it.  Raises BlowupSignal(time) if h(u) is not
+    attempt retries from it.  Raises _BlowupSignal(time) if h(u) is not
     finite, before its transform spreads the bad value over every mode,
     or if u is not.
     """
@@ -173,7 +155,7 @@ def _carried_step(half, carried, time, dt, nonlinearity):
     u = half.inverse(u_hat)
     h_u = nonlinearity.h_eval(u)
     if not np.isfinite(h_u).all():
-        raise BlowupSignal(time)
+        raise _BlowupSignal(time)
     h_hat = half.forward(h_u)
     v_hat += np.multiply(0.5 * dt, h_hat, out=kick)
     return (u, h_u), (u_hat, v_hat, h_hat), _finite_sup(u, time)
@@ -240,7 +222,7 @@ def evolve(config):
                 if size is None:
                     size = sup_u + _finite_sup(half.inverse(carried[1]), time)
                 size_after = sup_after + _finite_sup(half.inverse(candidate[1]), time)
-        except BlowupSignal:
+        except _BlowupSignal:
             outcome, t_est = Outcome.BLEW_UP, time
             break
         if size_after is not None and size_after > 2.0 * max(size, 1e-14) and dt_step > DT_MIN:
@@ -361,18 +343,14 @@ def a_norm(state):
             + sobolev_norm(state.v, k_psi) + lp_norm(state.v, 1))
 
 
-def make_data(spec, shape="gaussian", amplitude=1.0, width=1.0, center=0.0,
-              component="psi"):
-    """Gaussian-type Cauchy data normalized so the data norm equals amplitude.
+def make_data(spec, shape="gaussian", amplitude=1.0, width=1.0, center=0.0):
+    """Gaussian-type Cauchy data (0, psi) normalized so the data norm equals amplitude.
 
     shape 'gaussian' has positive mean; 'dgaussian' (first derivative
-    along x) integrates to zero.  The bump goes into phi or psi per
-    `component`; the other field is zero.
+    along x) integrates to zero.
     """
     if shape not in ("gaussian", "dgaussian"):
         raise ValueError(f"unknown data shape {shape!r}")
-    if component not in ("phi", "psi"):
-        raise ValueError(f"component must be phi or psi, got {component!r}")
     for name, value in (("amplitude", amplitude), ("center", center)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
@@ -386,9 +364,7 @@ def make_data(spec, shape="gaussian", amplitude=1.0, width=1.0, center=0.0,
             g = -2.0 * (coords[0] - center) / width ** 2 * g
         return g
 
-    f = GridField.from_function(spec, bump)
-    zero = GridField.zeros(spec)
-    state = WaveState(0.0, f, zero) if component == "phi" else WaveState(0.0, zero, f)
+    state = WaveState(0.0, GridField.zeros(spec), GridField.from_function(spec, bump))
     norm = a_norm(state)
     if norm == 0.0:
         raise GridError("data bump vanished on the grid; refine the resolution")

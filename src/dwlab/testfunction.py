@@ -120,6 +120,7 @@ def _weight_terms(z, n):
 
 _WEIGHT_GRID = 4001  # z samples on [1/2, 1] that calibrate weight_bound_constant
 _SHELLS_PER_DECADE = 8  # geometric shells per decade of r in blowup_certificate's scan
+_R_MAX = 1e300  # the radius where blowup_certificate's scan ends
 
 
 def weight_bound_constant(dimension, r0):
@@ -300,7 +301,7 @@ class CertificateReport:
     verdict: str
 
 
-def blowup_certificate(modulus, dimension, y_r0, constant, r0, r_max=1e300):
+def blowup_certificate(modulus, dimension, y_r0, constant, r0):
     """Drive the running integral of mu(c2 r^{-n/2}) dr/r against its budget.
 
     From the measured functional value Y(R0) = y_r0 and the calibrated
@@ -314,16 +315,16 @@ def blowup_certificate(modulus, dimension, y_r0, constant, r0, r_max=1e300):
     budget at a finite R the configuration is incompatible with global
     existence.  The integral accumulates in x = log r (the integrand
     through the stable log form of mu) over `_SHELLS_PER_DECADE` geometric
-    shells a decade up to r_max, all integrated in one `shell_integrals`
+    shells a decade up to `_R_MAX`, all integrated in one `shell_integrals`
     pass and summed up to the first shell that ends over budget.  When the
-    running value is still below budget at r_max but the integrand's
+    running value is still below budget at `_R_MAX` but the integrand's
     improper integral diverges, a witness radius exists in principle
     beyond the scanned range and the report says so.
     """
     if not y_r0 > 0:
         raise ValueError("measured functional must be positive")
-    if not 0 < r0 < r_max < math.inf:
-        raise ValueError(f"need 0 < r0 < r_max < inf, got r0={r0}, r_max={r_max}")
+    if not 0 < r0 < _R_MAX:
+        raise ValueError(f"need 0 < r0 < {_R_MAX:g}, got r0={r0}")
     n = dimension
     scale = constant ** 2 * math.log(2.0)
     # a tiny Y(R0) underflows c2 and Y(R0)^{2/n}, so ln c2 is formed from
@@ -336,7 +337,7 @@ def blowup_certificate(modulus, dimension, y_r0, constant, r0, r_max=1e300):
         # mu(c2 e^{-(n/2)x}) = mu(e^{-((n/2)x - ln c2)})
         return modulus.eval_neglog((n / 2.0) * x - ln_c2)
 
-    x_end = math.log(r_max)
+    x_end = math.log(_R_MAX)
     step = math.log(10.0) / _SHELLS_PER_DECADE
     edges = [math.log(r0)]
     while edges[-1] < x_end:  # a last shell under a millionth of a step joins the one before

@@ -86,10 +86,10 @@ def test_missing_config_file_is_usage_error(capsys):
 
 # A small valid config per subcommand, holding only keys that subcommand reads.
 _DATA = dict(dimension=1, L=64.0, N=512, width=2.0)
-_VALID = {"classify": dict(modulus="invlog:p=2"),
+_VALID = {"classify": dict(dimension=1),
           "linear": dict(_DATA, t_max=5.0),
           "run": dict(_DATA, t_max=5.0, dt=0.05, modulus="invlog:p=2"),
-          "sweep": dict(_DATA, t_max=5.0, dt=0.05, modulus="invlog:p=2", epsilons="0.2"),
+          "sweep": dict(_DATA, t_max=5.0, dt=0.05, moduli="invlog:p=2", epsilons="0.2"),
           "certificate": dict(_DATA, R=16.0, dt=0.05, modulus="invlog:p=2")}
 
 
@@ -161,8 +161,8 @@ def test_user_errors_are_one_line(tmp_path, capsys, command, overrides, named):
     (tmp_path / "onerow.txt").write_text("0 0\n")
     cfg = dict(_VALID[command])
     cfg.update({key: value.format(tmp=tmp_path) for key, value in overrides.items()})
-    if command == "classify":
-        argv = ["classify", cfg["modulus"]]
+    if command == "classify":  # the spec is classify's positional argument
+        argv = ["classify", cfg.pop("modulus")]
     else:
         argv = [command, "--config", _write_config(tmp_path, f"{command}.cfg", **cfg),
                 "--out", str(tmp_path / "out")]
@@ -174,6 +174,9 @@ def test_user_errors_are_one_line(tmp_path, capsys, command, overrides, named):
 @pytest.mark.parametrize("command, key", [
     ("run", "R"), ("certificate", "t_max"), ("linear", "modulus"), ("run", "epsilons"),
     ("classify", "L"), ("run", "t_mx"),
+    # one key per value: classify's spec is its positional argument, and a
+    # sweep's moduli and amplitudes are its two lists
+    ("classify", "modulus"), ("sweep", "modulus"), ("sweep", "amplitude"),
 ])
 def test_unknown_config_key_is_usage_error(tmp_path, capsys, command, key):
     # a typo or a key meant for another subcommand must not be dropped without a word
@@ -271,10 +274,10 @@ def test_run_directory_is_named_by_the_resolved_config(tmp_path, capsys):
 
 
 def test_sweep_job_is_named_as_the_same_run(tmp_path, capsys):
-    base = dict(_DATA, t_max=1.0, modulus="power:p=1")
+    base = dict(_DATA, t_max=1.0)
     out = tmp_path / "out"
-    sweep_cfg = _write_config(tmp_path, "sweep.cfg", **base, epsilons="0.5")
-    run_cfg = _write_config(tmp_path, "run.cfg", **base, amplitude=0.5)
+    sweep_cfg = _write_config(tmp_path, "sweep.cfg", **base, moduli="power:p=1", epsilons="0.5")
+    run_cfg = _write_config(tmp_path, "run.cfg", **base, modulus="power:p=1", amplitude=0.5)
     assert main(["sweep", "--config", sweep_cfg, "--out", str(out)]) == 0
     assert main(["run", "--config", run_cfg, "--out", str(out)]) == 0
     capsys.readouterr()
@@ -514,7 +517,7 @@ def pool_sizes(monkeypatch):
 
 def _two_job_sweep(tmp_path, capsys, workers):
     cfg = _write_config(tmp_path, "sweep.cfg", dimension=1, L=64.0, N=512, t_max=1.0,
-                        width=2.0, modulus="oracle:q=1.5", epsilons="0.2 0.5")
+                        width=2.0, moduli="oracle:q=1.5", epsilons="0.2 0.5")
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out"),
                  "--workers", workers]) == 0
     assert "oracle:q=1.5" in capsys.readouterr().out
@@ -545,9 +548,22 @@ def test_sweep_isolates_failing_jobs(tmp_path, capsys):
 
 def test_sweep_empty_list_is_usage_error(tmp_path, capsys):
     cfg = _write_config(tmp_path, "sweep.cfg",
-                        dimension=1, L=64.0, N=512, t_max=5.0)
-    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-    capsys.readouterr()
+                        dimension=1, L=64.0, N=512, t_max=5.0, moduli="", epsilons="1")
+    line = _assert_one_line_usage_error(capsys, ["sweep", "--config", cfg,
+                                                 "--out", str(tmp_path / "o")])
+    assert "'moduli'" in line
+
+
+@pytest.mark.parametrize("key", ["moduli", "epsilons"])
+def test_sweep_needs_both_lists(tmp_path, capsys, key):
+    # a sweep's jobs take their moduli and amplitudes from these lists alone
+    cfg = dict(_VALID["sweep"])
+    del cfg[key]
+    line = _assert_one_line_usage_error(capsys, ["sweep", "--config",
+                                                 _write_config(tmp_path, "sweep.cfg", **cfg),
+                                                 "--out", str(tmp_path / "o")])
+    assert f"missing required config key '{key}'" in line
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("epsilons", ["", "2 1", "-1 1", "0 1"],
@@ -555,7 +571,7 @@ def test_sweep_empty_list_is_usage_error(tmp_path, capsys):
 def test_sweep_rejects_bad_epsilons(tmp_path, capsys, epsilons):
     cfg = _write_config(tmp_path, "sweep.cfg",
                         dimension=1, L=64.0, N=512, t_max=5.0,
-                        modulus="oracle:q=1.5", epsilons=epsilons)
+                        moduli="oracle:q=1.5", epsilons=epsilons)
     _assert_one_line_usage_error(capsys, ["sweep", "--config", cfg,
                                           "--out", str(tmp_path / "o")])
 
@@ -565,7 +581,7 @@ def test_sweep_lifespan_monotone_in_amplitude(tmp_path, capsys):
     cfg = _write_config(tmp_path, "sweep.cfg",
                         dimension=1, L=64.0, N=512, width=2.0, dt=dt,
                         t_max=50.0, sample_stride=stride,
-                        modulus="oracle:q=1.5", epsilons="5 10 20")
+                        moduli="oracle:q=1.5", epsilons="5 10 20")
     out = tmp_path / "out"
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
     capsys.readouterr()

@@ -82,6 +82,14 @@ def test_lp_norm_zero_field():
         assert lp_norm(f, p) == 0.0
 
 
+@pytest.mark.parametrize("p", [0.5, 0.0, -np.inf, np.nan])
+def test_lp_norm_rejects_p_below_one(p):
+    # NaN fails every comparison, so the check is written "not p >= 1"
+    spec = GridSpec(1, 1.0, 16)
+    with pytest.raises(GridError, match="p must be >= 1"):
+        lp_norm(GridField(spec, np.ones(spec.shape)), p)
+
+
 def test_lp_norm_flags_nonfinite_with_index():
     spec = GridSpec(1, 1.0, 32)
     vals = np.zeros(spec.shape)

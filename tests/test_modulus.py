@@ -77,19 +77,19 @@ def format_modulus_spec(modulus):
 
 def test_eval_power_square():
     mu = catalog_make("power", p=2.0)
-    assert mu(0.5) == pytest.approx(0.25, abs=1e-15)
+    assert mu.eval(0.5) == pytest.approx(0.25, abs=1e-15)
 
 
 def test_eval_logplus_at_e_minus_one():
     mu = catalog_make("logplus", p=1.0)
-    assert mu(math.e - 1.0) == pytest.approx(1.0, rel=1e-14)
+    assert mu.eval(math.e - 1.0) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_eval_invlog_formula_region():
     # s = e^-4 lies below the continuation point, so the formula applies:
     # (log 1/s)^-2 = 1/16.
     mu = catalog_make("invlog", p=2.0)
-    assert mu(math.exp(-4.0)) == pytest.approx(1.0 / 16.0, rel=1e-13)
+    assert mu.eval(math.exp(-4.0)) == pytest.approx(1.0 / 16.0, rel=1e-13)
 
 
 def test_eval_iterlog_against_mpmath():
@@ -99,7 +99,7 @@ def test_eval_iterlog_against_mpmath():
     with mpmath.workdps(50):
         w = mpmath.mpf(8)
         expected = float(1 / (w * mpmath.log(w)))
-    assert mu(s) == pytest.approx(expected, rel=1e-13)
+    assert mu.eval(s) == pytest.approx(expected, rel=1e-13)
 
 
 def test_every_modulus_carries_an_analytic_label(tmp_path):
@@ -111,7 +111,7 @@ def test_every_modulus_carries_an_analytic_label(tmp_path):
 
 def test_eval_at_zero_is_zero():
     for mu in _entries():
-        assert mu(0.0) == 0.0
+        assert mu.eval(0.0) == 0.0
 
 
 def test_eval_propagates_nan():
@@ -120,7 +120,7 @@ def test_eval_propagates_nan():
     for mu in _entries():
         out = mu.eval(np.array([0.0, np.nan, 0.25, 2.0]))
         assert np.isnan(out[1]) and np.all(np.isfinite(out[[0, 2, 3]]))
-        assert np.isnan(mu(np.nan))
+        assert np.isnan(mu.eval(np.nan))
         assert np.isnan(Nonlinearity(mu, 1).h_eval(np.nan))
 
 
@@ -363,7 +363,7 @@ def test_monotone_and_concave(kind, p, depth):
 @given(p=st.floats(0.2, 3.0), s=st.floats(1e-10, 0.9))
 def test_power_eval_property(p, s):
     mu = catalog_make("power", p=p)
-    assert mu(s) == pytest.approx(s ** p, rel=1e-12)
+    assert mu.eval(s) == pytest.approx(s ** p, rel=1e-12)
 
 
 # -- slow variation ---------------------------------------------------
@@ -646,8 +646,8 @@ def test_no_piece_is_refused_over_catalog_and_random_tables(tmp_path):
         for n in (1, 2):
             constant = weight_bound_constant(n, 16.0)
             for y_r0 in (1e-300, 1e-20, 0.02, 5.0):
-                for r_max in (1e300, 160.0):
-                    blowup_certificate(mu, n, y_r0, constant, 16.0, r_max=r_max)
+                for r0 in (16.0, 1e299):  # the whole scan to 1e300, and its last decade
+                    blowup_certificate(mu, n, y_r0, constant, r0)
 
 
 # -- the composed nonlinearity ----------------------------------------
@@ -742,7 +742,7 @@ def test_custom_table_modulus(tmp_path):
     table = tmp_path / "table.txt"
     table.write_text("\n".join(f"{a} {math.sqrt(a)}" for a in s))
     mu = load_custom_modulus(table)
-    assert mu(0.25) == pytest.approx(0.5, rel=1e-3)
+    assert mu.eval(0.25) == pytest.approx(0.5, rel=1e-3)
     mid = deriv_fd(mu, 0.25, 1)
     assert mid == pytest.approx(1.0, rel=1e-2)
 
@@ -757,7 +757,7 @@ def test_custom_table_derivatives_are_segment_slopes(tmp_path):
                                rtol=1e-12)
     assert np.all(mu.deriv(s, 2) == 0.0)
     # the continuation keeps the last value and slope
-    assert mu(2.0) == pytest.approx(1.2, rel=1e-12)
+    assert mu.eval(2.0) == pytest.approx(1.2, rel=1e-12)
 
 
 @pytest.mark.parametrize("row", ["0.1 nan", "0.1 inf", "inf 1"])
@@ -771,7 +771,7 @@ def test_custom_table_rejects_non_finite(tmp_path, row):
 def test_custom_table_must_be_concave(tmp_path):
     concave = tmp_path / "concave.txt"
     concave.write_text("0 0\n0.25 0.5\n0.5 0.7\n1.0 0.9\n")
-    assert load_custom_modulus(concave)(0.5) == pytest.approx(0.7)
+    assert load_custom_modulus(concave).eval(0.5) == pytest.approx(0.7)
     # secant slopes 0.2 then 1.8: monotone but convex
     convex = tmp_path / "convex.txt"
     convex.write_text("0 0\n0.5 0.1\n1.0 1.0\n")

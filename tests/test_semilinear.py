@@ -12,7 +12,6 @@ from dwlab.grid import (GridError, GridField, GridSpec, HalfSpectrum, WaveState,
 from dwlab.linear import propagate
 from dwlab.modulus import Nonlinearity, PowerForcing, catalog_make, parse_forcing_spec
 from dwlab.semilinear import (
-    BlowupSignal,
     EvolveConfig,
     Outcome,
     a_norm,
@@ -20,7 +19,6 @@ from dwlab.semilinear import (
     evolve,
     make_data,
     picard_verify,
-    step,
     xnorm_weight,
 )
 
@@ -71,35 +69,52 @@ def _ode_reference(forcing, u0, t_end):
     return sol.y[0, -1]
 
 
+def _kernel_step(state, h_u, dt, nonlinearity):
+    """One step of `evolve`'s kernel from the fields of `state`, whose h(u)
+    is `h_u`: the new (u, u_t, h(u)), with u_t taken back to the grid."""
+    half = half_spectrum(state.spec)
+    carried = tuple(half.forward(f) for f in (state.u.values, state.v.values, h_u))
+    (u, h_new), (_, v_hat, _), _ = semilinear._carried_step(half, carried, state.time, dt,
+                                                            nonlinearity)
+    return u, half.inverse(v_hat), h_new
+
+
+def _phi_data(spec, amplitude, width):
+    """Data (phi, 0) whose phi is make_data's Gaussian bump, scaled so the
+    data norm equals amplitude; h(u(0)) is then nonzero."""
+    bump = make_data(spec, width=width).v
+    scale = amplitude / a_norm(WaveState(0.0, bump, GridField.zeros(spec)))
+    return WaveState(0.0, GridField(spec, bump.values * scale), GridField.zeros(spec))
+
+
 # -- stepping ---------------------------------------------------------
 
 
 def test_step_reduces_to_linear_flow_without_forcing():
     spec = _spec()
     data = make_data(spec, amplitude=0.5, width=2.0)
-    split, h_split = step(data, np.zeros(spec.shape), 0.1, ZeroForcing())
+    u, v, h_split = _kernel_step(data, np.zeros(spec.shape), 0.1, ZeroForcing())
     assert not np.any(h_split)
     exact = propagate(data, 0.1)
-    assert np.max(np.abs(split.u.values - exact.u.values)) < 1e-12
-    assert np.max(np.abs(split.v.values - exact.v.values)) < 1e-12
+    assert np.max(np.abs(u - exact.u.values)) < 1e-12
+    assert np.max(np.abs(v - exact.v.values)) < 1e-12
 
 
 @pytest.mark.parametrize("spec", [GridSpec(1, 64.0, 512), GridSpec(2, 16.0, 64)],
                          ids=["1d", "2d"])
 def test_step_is_kick_propagate_kick(spec):
     nl = Nonlinearity(catalog_make("invlog", p=2.0), spec.dimension)
-    data = make_data(spec, amplitude=2.0, width=2.0, component="phi")
+    data = _phi_data(spec, amplitude=2.0, width=2.0)
     data = WaveState(0.5, data.u, GridField(spec, 0.3 * data.u.values))
     h_u, dt = nl.h_eval(data.u.values), 0.05
-    out, h_out = step(data, h_u, dt, nl)
+    u, v, h_out = _kernel_step(data, h_u, dt, nl)
 
     kicked = WaveState(data.time, data.u, GridField(spec, data.v.values + 0.5 * dt * h_u))
     drifted = propagate(kicked, dt)
     h_new = nl.h_eval(drifted.u.values)
-    assert out.time == drifted.time
-    # step kicks the spectra, not the fields, so the two part by round-off
-    for got, want in ((h_out, h_new), (out.u.values, drifted.u.values),
-                      (out.v.values, drifted.v.values + 0.5 * dt * h_new)):
+    # the kernel kicks the spectra, not the fields, so the two part by round-off
+    for got, want in ((h_out, h_new), (u, drifted.u.values),
+                      (v, drifted.v.values + 0.5 * dt * h_new)):
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
@@ -108,8 +123,8 @@ def test_step_rejects_a_bad_dt_as_an_argument_error(dt):
     # a NaN dt is not a blow-up, and an infinite one is refused before any arithmetic
     spec = _spec()
     data = make_data(spec, amplitude=0.5, width=2.0)
-    with pytest.raises(ValueError, match="dt must be positive and finite"):
-        step(data, np.zeros(spec.shape), dt, ZeroForcing())
+    with pytest.raises(ValueError, match="dt must be finite and exceed 0"):
+        EvolveConfig(grid=spec, nonlinearity=ZeroForcing(), data=data, dt=dt, t_max=1.0)
 
 
 def test_infinite_forcing_signals_blowup_at_attempt_start():
@@ -117,8 +132,8 @@ def test_infinite_forcing_signals_blowup_at_attempt_start():
     data = make_data(spec, amplitude=0.5, width=2.0)
     forcing = InfAtCall(PowerForcing(1.5), call=2)
     h_u = forcing.h_eval(data.u.values)
-    with pytest.raises(BlowupSignal) as caught:
-        step(data, h_u, 0.125, forcing)
+    with pytest.raises(semilinear._BlowupSignal) as caught:
+        _kernel_step(data, h_u, 0.125, forcing)
     assert caught.value.time == data.time
 
     # an infinite h(u) of the data itself is an error, not a blow-up time
@@ -149,8 +164,8 @@ def test_overflowing_transform_signals_blowup_at_attempt_start():
     huge = GridField(spec, np.full(spec.shape, 1e308))
     data = WaveState(0.25, huge, GridField.zeros(spec))
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(BlowupSignal) as caught:
-            step(data, np.zeros(spec.shape), 0.125, ZeroForcing())
+        with pytest.raises(semilinear._BlowupSignal) as caught:
+            _kernel_step(data, np.zeros(spec.shape), 0.125, ZeroForcing())
         assert caught.value.time == data.time
         traj = evolve(EvolveConfig(grid=spec, nonlinearity=ZeroForcing(), data=data,
                                    dt=0.125, t_max=5.0))
@@ -267,8 +282,8 @@ def _evolve_by_the_exact_rule(config, kernel=None, sample_norms=_sample_norms):
             (u, _), candidate, sup_after = kernel(half, carried, time, dt_step, config.nonlinearity)
             sup_v = float(np.max(np.abs(half.inverse(candidate[1]))))
             if not math.isfinite(sup_v):
-                raise BlowupSignal(time)
-        except BlowupSignal:
+                raise semilinear._BlowupSignal(time)
+        except semilinear._BlowupSignal:
             outcome, t_est = Outcome.BLEW_UP, time
             break
         size_after = sup_after + sup_v
@@ -345,12 +360,12 @@ def _frozen_kernel(half, carried, time, dt, nonlinearity):
     u = half.inverse(u_hat)
     h_u = _frozen_h(nonlinearity, u)
     if not np.all(np.isfinite(h_u)):
-        raise BlowupSignal(time)
+        raise semilinear._BlowupSignal(time)
     h_hat = half.forward(h_u)
     v_hat = v_hat + 0.5 * dt * h_hat
     sup = float(np.max(np.abs(u)))
     if not math.isfinite(sup):
-        raise BlowupSignal(time)
+        raise semilinear._BlowupSignal(time)
     return (u, h_u), (u_hat, v_hat, h_hat), sup
 
 
@@ -398,7 +413,9 @@ def test_evolve_is_the_frozen_kernel_bit_for_bit(dimension, forcing, amplitude, 
 def test_a_non_finite_u_t_spectrum_ends_in_blowup():
     # h(u) is finite, 1e308 everywhere from the third call, but its transform
     # overflows, so the u_t spectrum of that attempt is not finite: the bound
-    # cannot accept it and the exact path signals, at the attempt's start
+    # cannot accept it and the exact path signals, at the attempt's start.
+    # h(u(0)) is call 1, so from call 3 on the second attempt signals; with
+    # one call made before the run, the first one does
     spec = _spec()
 
     class HugeFromCall:
@@ -414,10 +431,10 @@ def test_a_non_finite_u_t_spectrum_ends_in_blowup():
                                    dt=0.125, t_max=5.0))
         assert (traj.outcome, traj.t_est) == (Outcome.BLEW_UP, 0.125)
         forcing = HugeFromCall()
-        forcing.calls = 2
-        with pytest.raises(BlowupSignal) as caught:
-            step(data, np.zeros(spec.shape), 0.125, forcing)
-    assert caught.value.time == data.time
+        forcing.calls = 1
+        traj = evolve(EvolveConfig(grid=spec, nonlinearity=forcing, data=data,
+                                   dt=0.125, t_max=5.0))
+    assert (traj.outcome, traj.t_est) == (Outcome.BLEW_UP, data.time)
 
 
 def test_evolve_evaluates_forcing_once_per_step(monkeypatch):
@@ -453,13 +470,14 @@ def test_evolve_evaluates_forcing_once_per_step(monkeypatch):
     assert np.array_equal(u, u_end)
     assert np.array_equal(half.inverse(carried[1]), v_end)
 
-    # a loop of the public step agrees up to round-off
+    # a loop of the kernel on the fields agrees up to round-off
     state, h_u = data, nl.h_eval(data.u.values)
     for _ in range(steps):
-        state, h_u = step(state, h_u, dt, nl)
+        u, v, h_u = _kernel_step(state, h_u, dt, nl)
+        state = WaveState(state.time + dt, GridField(spec, u), GridField(spec, v))
     assert traj.times[-1] == state.time
     assert np.max(np.abs(u_end - state.u.values)) <= 1e-14 * np.max(np.abs(state.u.values))
-    # step takes v back to the grid and forward again every step, where the
+    # that loop takes v back to the grid and forward again every step, where the
     # core keeps v_hat.  Each round trip of a length-N real transform moves v
     # by O(eps log2 N) of max|v| and the damped flow does not amplify it, so
     # the loops part by at most steps * eps * log2 N of max|v|
@@ -565,7 +583,7 @@ def _sampled_run(dimension, keep_fields=True):
     """A short invlog run on a small grid, sampled every fourth step."""
     spec = GridSpec(1, 64.0, 512) if dimension == 1 else GridSpec(2, 16.0, 64)
     nl = Nonlinearity(catalog_make("invlog", p=2.0), dimension)
-    data = make_data(spec, amplitude=2.0, width=2.0, component="phi")
+    data = _phi_data(spec, amplitude=2.0, width=2.0)
     return evolve(EvolveConfig(grid=spec, nonlinearity=nl, data=data, dt=0.1, t_max=4.0,
                                sample_stride=4, keep_fields=keep_fields))
 
@@ -614,6 +632,11 @@ def test_config_validation():
     with pytest.raises(ValueError):
         EvolveConfig(grid=other, nonlinearity=PowerForcing(1.5), data=data,
                      dt=0.1, t_max=1.0)
+    # h's exponent 1 + 2/n belongs to one n: the 2-d forcing would run this
+    # 1-d grid with exponent 2 in place of 3 (a PowerForcing has no n)
+    with pytest.raises(ValueError, match="built for dimension 2"):
+        EvolveConfig(grid=spec, nonlinearity=Nonlinearity(catalog_make("invlog", p=2.0), 2),
+                     data=data, dt=0.1, t_max=1.0)
     # NaN compares false both ways, so each bound is checked as lo < x < inf
     for key, bad in (("dt", math.nan), ("t_max", math.nan), ("t_max", math.inf)):
         kwargs = {"dt": 0.1, "t_max": 1.0, key: bad}
@@ -674,7 +697,7 @@ def test_picard_fixed_point_is_the_split_solution():
     # phi make h(u(0)) nonzero, so a rectangle rule or a shifted lag shows up here.
     spec = GridSpec(1, 32.0, 256)
     nl = Nonlinearity(catalog_make("power", p=1.0), 1)
-    data = make_data(spec, amplitude=3.0, width=2.0, component="phi")
+    data = _phi_data(spec, amplitude=3.0, width=2.0)
     cfg = EvolveConfig(grid=spec, nonlinearity=nl, data=data, dt=0.02, t_max=1.0)
     report = picard_verify(cfg, window_T=1.0, iterations=6)
     assert report["first_correction"] > 0.1

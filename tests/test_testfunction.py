@@ -434,10 +434,10 @@ def test_certificate_divergent_class_reports_witness():
     constant = weight_bound_constant(1, 16.0)
     report = blowup_certificate(mu, 1, y_r0=0.02, constant=constant, r0=16.0)
     assert report.verdict in ("witness-observed", "witness-beyond-range")
-    # the left side keeps growing with the scan range
-    shorter = blowup_certificate(mu, 1, y_r0=0.02, constant=constant, r0=16.0,
-                                 r_max=1e30)
-    assert report.lhs_final > 1.5 * shorter.lhs_final
+    # the left side keeps growing with the scan range: the part of the scan
+    # past 1e30 adds more than a third of it
+    later = blowup_certificate(mu, 1, y_r0=0.02, constant=constant, r0=1e30)
+    assert report.lhs_final > 1.5 * (report.lhs_final - later.lhs_final)
 
 
 def test_certificate_power_class_bounded():
@@ -499,39 +499,50 @@ def _certificate_by_loop(mu, n, ln_c2, budget, r0, r_max):
     return total, crossing
 
 
-@pytest.mark.parametrize("kind, p, y_r0, constant, r_max, verdict", [
-    ("invlog", 2.0, 0.02, None, 1e300, "bounded-no-witness"),
-    ("invlog", 1.0, 0.02, None, 1e300, "witness-beyond-range"),
-    ("invlog", 1.0, 0.02, None, 1e30, "witness-beyond-range"),
-    ("power", 1.0, 0.02, None, 1e300, "bounded-no-witness"),
-    ("invlog", 1.0, 5.0, 2.0, 1e300, "witness-observed"),
-    ("invlog", 1.0, 0.02, None, 160.0, "witness-beyond-range"),
-    # iterlog depth 1: the kink at x ~ 7.09 lies inside a shell before the crossing
-    ("iterlog", 1.0, 5.0, 2.5, 1e300, "witness-observed"),
-])
-def test_certificate_matches_scalar_shell_loop(kind, p, y_r0, constant, r_max, verdict):
+def _assert_matches_scalar_shell_loop(kind, p, y_r0, constant, r0, r_max, verdict):
     mu = catalog_make(kind, p=p, depth=1 if kind == "iterlog" else None)
     constant = constant or weight_bound_constant(1, 16.0)
-    report = blowup_certificate(mu, 1, y_r0=y_r0, constant=constant, r0=16.0, r_max=r_max)
+    report = blowup_certificate(mu, 1, y_r0=y_r0, constant=constant, r0=r0)
     ln_c2 = math.log(y_r0) - math.log(constant ** 2 * math.log(2.0))
-    lhs, crossing = _certificate_by_loop(mu, 1, ln_c2, report.budget, 16.0, r_max)
+    lhs, crossing = _certificate_by_loop(mu, 1, ln_c2, report.budget, r0, r_max)
     assert report.verdict == verdict
     assert (report.verdict == "witness-observed") == math.isfinite(crossing)
     assert report.crossing_r == crossing
     assert report.lhs_final == pytest.approx(lhs, rel=1e-13, abs=0.0)
 
 
+# r_max is where the loop's scan ends: 1e300, as the certificate's does
+@pytest.mark.parametrize("kind, p, y_r0, constant, r_max, verdict", [
+    ("invlog", 2.0, 0.02, None, 1e300, "bounded-no-witness"),
+    ("invlog", 1.0, 0.02, None, 1e300, "witness-beyond-range"),
+    ("power", 1.0, 0.02, None, 1e300, "bounded-no-witness"),
+    ("invlog", 1.0, 5.0, 2.0, 1e300, "witness-observed"),
+    # iterlog depth 1: the kink at x ~ 7.09 lies inside a shell before the crossing
+    ("iterlog", 1.0, 5.0, 2.5, 1e300, "witness-observed"),
+])
+def test_certificate_matches_scalar_shell_loop(kind, p, y_r0, constant, r_max, verdict):
+    _assert_matches_scalar_shell_loop(kind, p, y_r0, constant, 16.0, r_max, verdict)
+
+
+@pytest.mark.parametrize("r0", [1e299, 1e271], ids=["one-decade", "29-decades"])
+def test_certificate_matches_scalar_shell_loop_from_a_late_start(r0):
+    # a short scan of the divergent class stays under its budget
+    _assert_matches_scalar_shell_loop("invlog", 1.0, 0.02, None, r0, 1e300, "witness-beyond-range")
+
+
 def test_certificate_merges_a_sliver_last_shell():
-    # 240 steps of ln(10)/8 from log 1 stop 2e-13 short of log 1e30; that sliver,
-    # on iterlog depth 3's steep continuation, is a piece the rule cannot accept
+    # 396 steps of ln(10)/8 from log 3.16227766e250 stop 3.7e-11 short of
+    # log 1e300, where the scan ends; on iterlog depth 3 that sliver is a
+    # piece the rule cannot accept
     mu = catalog_make("iterlog", p=1.0, depth=3)
     report = blowup_certificate(mu, 1, y_r0=1e-50, constant=weight_bound_constant(1, 1.0),
-                                r0=1.0, r_max=1e30)
+                                r0=3.16227766e250)
     assert report.verdict == "inconclusive" and report.lhs_final > 0.0
 
 
-@pytest.mark.parametrize("bad", [dict(r_max=math.inf), dict(r_max=math.nan), dict(r_max=16.0),
-                                 dict(r_max=4.0), dict(r0=0.0), dict(r0=math.nan)], ids=str)
+# the scan runs from r0 to 1e300
+@pytest.mark.parametrize("bad", [dict(r0=math.inf), dict(r0=1e300), dict(r0=1e301),
+                                 dict(r0=0.0), dict(r0=math.nan)], ids=str)
 def test_certificate_rejects_bad_ranges(bad):
     mu = catalog_make("invlog", p=1.0)
     with pytest.raises(ValueError):
